@@ -13,6 +13,7 @@ from frond import (
     daily_accuracy,
     evaluate,
     leaf_accuracy_matrix,
+    match_frames,
 )
 
 
@@ -69,7 +70,7 @@ def main():
                    BBox(p.box.u, p.box.v + (3.0 if p.frame == 4 else 0.0), 20.0, 20.0))
         for p in swapped
     ]
-    matrix = leaf_accuracy_matrix(gt, loose)
+    matrix = leaf_accuracy_matrix(match_frames(gt, loose))
     print("leaf accuracy matrix (1 correct, 0 failure):")
     print("        frames 1..10")
     for i, leaf in enumerate(matrix.leaf_ids):

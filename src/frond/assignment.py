@@ -7,13 +7,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# Rectangular matrices are padded square with this constant.  Padded rows
-# and columns contribute a fixed total whatever the solver picks, so the
-# value never changes which real pairs win; it only needs to be a valid
-# finite cost.  4.0 sits above the largest cost reachable from a
-# similarity in [-1, 1].
-PAD_COST = 4.0
-
 
 @dataclass
 class Assignment:
@@ -50,10 +43,13 @@ def cost_from_similarity(similarity: np.ndarray) -> np.ndarray:
 def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-total-cost one-to-one assignment over a cost matrix.
 
-    Rectangular matrices are supported: exactly min(rows, cols) pairs are
-    produced and the surplus rows or columns are reported unmatched.
-    The solver is deterministic; ties between equally cheap optima
-    resolve toward lower row and column indices.
+    Rectangular matrices are solved natively: exactly min(rows, cols)
+    pairs are produced and the surplus rows or columns are reported
+    unmatched.  The total cost is optimal and the result is
+    deterministic: the same matrix always yields the same pairs.  A
+    matrix with more rows than columns is solved transposed, so which of
+    several equally cheap optima wins follows the scan order of the
+    shorter axis.
 
     Args:
         cost: (rows, cols) matrix of finite costs.
@@ -73,48 +69,42 @@ def hungarian(cost: np.ndarray) -> Assignment:
     if not np.all(np.isfinite(c)):
         raise ValueError("invalid cost: non-finite entry")
     rows, cols = c.shape
-    n = max(rows, cols)
-    padded = np.full((n, n), PAD_COST)
-    padded[:rows, :cols] = c
-    col_of_row = _solve_square(padded.tolist(), n)
-    pairs = []
-    matched_cols = set()
-    for i in range(rows):
-        j = col_of_row[i]
-        if j < cols:
-            pairs.append((i, j))
-            matched_cols.add(j)
+    if rows <= cols:
+        pairs = list(enumerate(_solve(c.tolist(), rows, cols)))
+    else:
+        pairs = sorted((i, j) for j, i in enumerate(_solve(c.T.tolist(), cols, rows)))
     matched_rows = {i for i, _ in pairs}
+    matched_cols = {j for _, j in pairs}
     return Assignment(
-        pairs=sorted(pairs),
+        pairs=pairs,
         unmatched_tracks=[i for i in range(rows) if i not in matched_rows],
         unmatched_detections=[j for j in range(cols) if j not in matched_cols],
     )
 
 
-def _solve_square(cost: list[list[float]], n: int) -> list[int]:
-    """Exact O(n^3) square solver; returns the column chosen for each row.
+def _solve(cost: list[list[float]], n: int, m: int) -> list[int]:
+    """Exact O(n^2 m) solver for n <= m; returns the column chosen for each row.
 
     Shortest augmenting path formulation with row/column potentials.
     Rows are inserted in ascending order and column scans run ascending
     with strict improvement, which fixes the tie-breaking order.
     """
     u = [0.0] * (n + 1)
-    v = [0.0] * (n + 1)
-    match = [0] * (n + 1)  # match[j] = row owning column j, 1-based, 0 = free
-    parent = [0] * (n + 1)
+    v = [0.0] * (m + 1)
+    match = [0] * (m + 1)  # match[j] = row owning column j, 1-based, 0 = free
+    parent = [0] * (m + 1)
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = [math.inf] * (n + 1)
-        used = [False] * (n + 1)
+        minv = [math.inf] * (m + 1)
+        used = [False] * (m + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
             row = cost[i0 - 1]
             delta = math.inf
             j1 = -1
-            for j in range(1, n + 1):
+            for j in range(1, m + 1):
                 if used[j]:
                     continue
                 cur = row[j - 1] - u[i0] - v[j]
@@ -124,7 +114,7 @@ def _solve_square(cost: list[list[float]], n: int) -> list[int]:
                 if minv[j] < delta:
                     delta = minv[j]
                     j1 = j
-            for j in range(n + 1):
+            for j in range(m + 1):
                 if used[j]:
                     u[match[j]] += delta
                     v[j] -= delta
@@ -138,7 +128,7 @@ def _solve_square(cost: list[list[float]], n: int) -> list[int]:
             match[j0] = match[j1]
             j0 = j1
     col_of_row = [0] * n
-    for j in range(1, n + 1):
+    for j in range(1, m + 1):
         if match[j]:
             col_of_row[match[j] - 1] = j - 1
     return col_of_row

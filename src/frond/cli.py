@@ -11,7 +11,7 @@ import sys
 from collections import defaultdict
 from pathlib import Path
 
-from . import fileio
+from . import fileio, metrics
 from .embedding import (
     INTRA_PLANT_TEMPORAL_WINDOW,
     STRATEGY_KINDS,
@@ -71,14 +71,14 @@ def _cmd_track(args) -> int:
 def _cmd_eval(args) -> int:
     gt = fileio.read_gt(_require_file(args.gt))
     pred = fileio.read_results(_require_file(args.results))
-    report = evaluate(gt, pred, args.iou)
+    table = metrics.match_frames(gt, pred, args.iou)
+    report = metrics.report_from_table(table)
     if args.machine:
         print(format_report_machine(report))
     else:
         print(format_report(report))
     if args.leaf_matrix is not None:
-        matrix = leaf_accuracy_matrix(gt, pred, iou_threshold=args.iou)
-        fileio.write_leaf_matrix_csv(matrix, args.leaf_matrix)
+        fileio.write_leaf_matrix_csv(leaf_accuracy_matrix(table), args.leaf_matrix)
     return 0
 
 

@@ -18,11 +18,6 @@ from .assignment import hungarian
 from .geometry import BBox, iou_matrix
 from .tracker import TrackedBox
 
-# Forbidden pairs (IoU below threshold) get this cost.  It dwarfs any sum
-# of real costs, so the solver first maximizes the number of admissible
-# pairs and only then minimizes cost among them.
-_FORBIDDEN = 1.0e6
-
 CELL_CORRECT = 1
 CELL_FAILURE = 0
 CELL_ABSENT = -1
@@ -67,6 +62,35 @@ class MatchTable:
         return sum(len(ids) for ids in self.false_alarms.values())
 
 
+def match_by_iou(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]:
+    """One-to-one (row, col) pairs of an IoU matrix, each with IoU >= threshold.
+
+    The matching has as many pairs as possible and, among those, the
+    least total (1 - IoU).  Pairs are sorted by row index.
+    """
+    eligible = overlap >= threshold
+    if not eligible.any():
+        return []
+    # Pairs below threshold cost 1e6, which dwarfs any sum of real costs,
+    # so the solver first maximizes the number of admissible pairs and
+    # only then minimizes cost among them; the filter drops the rest.
+    cost = np.where(eligible, 1.0 - overlap, 1.0e6)
+    return [(i, j) for i, j in hungarian(cost).pairs if eligible[i, j]]
+
+
+def _group_by_frame(rows: Iterable, id_field: str, side: str) -> dict:
+    """Rows grouped per frame in input order; a repeated (frame, id) raises."""
+    by_frame: dict = defaultdict(list)
+    seen: set = set()
+    for row in rows:
+        key = (row.frame, getattr(row, id_field))
+        if key in seen:
+            raise ValueError(f"duplicate {side} id {key[1]} in frame {row.frame}")
+        seen.add(key)
+        by_frame[row.frame].append(row)
+    return by_frame
+
+
 def match_frames(
     gt: Iterable[GtAnnotation],
     pred: Iterable[TrackedBox],
@@ -84,16 +108,8 @@ def match_frames(
     """
     if not 0.0 < iou_threshold <= 1.0:
         raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
-    gt_by_frame: dict = defaultdict(list)
-    for row in gt:
-        if any(row.leaf_id == other.leaf_id for other in gt_by_frame[row.frame]):
-            raise ValueError(f"duplicate ground-truth id {row.leaf_id} in frame {row.frame}")
-        gt_by_frame[row.frame].append(row)
-    pred_by_frame: dict = defaultdict(list)
-    for row in pred:
-        if any(row.track_id == other.track_id for other in pred_by_frame[row.frame]):
-            raise ValueError(f"duplicate prediction id {row.track_id} in frame {row.frame}")
-        pred_by_frame[row.frame].append(row)
+    gt_by_frame = _group_by_frame(gt, "leaf_id", "ground-truth")
+    pred_by_frame = _group_by_frame(pred, "track_id", "prediction")
 
     frames = sorted(set(gt_by_frame) | set(pred_by_frame))
     matches: dict = {}
@@ -102,22 +118,15 @@ def match_frames(
     for frame in frames:
         g_rows = gt_by_frame.get(frame, [])
         p_rows = pred_by_frame.get(frame, [])
-        frame_matches = []
-        matched_g: set = set()
-        matched_p: set = set()
+        pairs = []
         if g_rows and p_rows:
             overlap = iou_matrix([r.box for r in g_rows], [r.box for r in p_rows])
-            eligible = overlap >= iou_threshold
-            if eligible.any():
-                cost = np.where(eligible, 1.0 - overlap, _FORBIDDEN)
-                for gi, pj in hungarian(cost).pairs:
-                    if eligible[gi, pj]:
-                        frame_matches.append(
-                            (g_rows[gi].leaf_id, p_rows[pj].track_id, float(overlap[gi, pj]))
-                        )
-                        matched_g.add(gi)
-                        matched_p.add(pj)
-        matches[frame] = frame_matches
+            pairs = match_by_iou(overlap, iou_threshold)
+        matches[frame] = [
+            (g_rows[gi].leaf_id, p_rows[pj].track_id, float(overlap[gi, pj])) for gi, pj in pairs
+        ]
+        matched_g = {gi for gi, _ in pairs}
+        matched_p = {pj for _, pj in pairs}
         misses[frame] = sorted(r.leaf_id for i, r in enumerate(g_rows) if i not in matched_g)
         false_alarms[frame] = sorted(
             r.track_id for j, r in enumerate(p_rows) if j not in matched_p
@@ -144,6 +153,15 @@ def _establishment(table: MatchTable) -> dict:
     return first
 
 
+def _pair_counts(table: MatchTable) -> dict:
+    """Number of true positives per (gt_id, pred_id) pair."""
+    counts: dict = defaultdict(int)
+    for frame in table.frames:
+        for gt_id, pred_id, _ in table.matches[frame]:
+            counts[(gt_id, pred_id)] += 1
+    return counts
+
+
 def _majority_bijection(table: MatchTable) -> dict:
     """One-to-one gt -> pred map from majority vote over true positives.
 
@@ -151,10 +169,7 @@ def _majority_bijection(table: MatchTable) -> dict:
     ties prefer the earlier-established prediction id.  Each gt and each
     pred id is used at most once.
     """
-    counts: dict = defaultdict(int)
-    for frame in table.frames:
-        for gt_id, pred_id, _ in table.matches[frame]:
-            counts[(gt_id, pred_id)] += 1
+    counts = _pair_counts(table)
     established = _establishment(table)
     ranked = sorted(
         counts.items(),
@@ -213,10 +228,14 @@ def mota(table: MatchTable) -> float:
     Raises:
         ValueError: on empty ground truth.
     """
+    return _mota(table, id_switches(table))
+
+
+def _mota(table: MatchTable, idsw: int) -> float:
     total_gt = table.tp + table.fn
     if total_gt == 0:
         raise ValueError("empty ground truth")
-    return 1.0 - (table.fn + table.fp + id_switches(table)) / total_gt
+    return 1.0 - (table.fn + table.fp + idsw) / total_gt
 
 
 def _idf1_counts(table: MatchTable):
@@ -225,10 +244,7 @@ def _idf1_counts(table: MatchTable):
     The bijection maximizes the summed per-pair TP counts (minimum-cost
     assignment on negated counts).
     """
-    counts: dict = defaultdict(int)
-    for frame in table.frames:
-        for gt_id, pred_id, _ in table.matches[frame]:
-            counts[(gt_id, pred_id)] += 1
+    counts = _pair_counts(table)
     total_gt = table.tp + table.fn
     total_pred = table.tp + table.fp
     bijection: dict = {}
@@ -251,6 +267,10 @@ def _idf1_counts(table: MatchTable):
 def idf1(table: MatchTable) -> float:
     """Identity F1: 2*IDTP / (2*IDTP + IDFP + IDFN); 1.0 on fully empty input."""
     idtp, idfp, idfn, _ = _idf1_counts(table)
+    return _idf1(idtp, idfp, idfn)
+
+
+def _idf1(idtp: int, idfp: int, idfn: int) -> float:
     if idtp + idfp + idfn == 0:
         return 1.0
     return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
@@ -278,16 +298,17 @@ def report_from_table(table: MatchTable) -> MetricReport:
     deta = det_a(table)
     assa = ass_a(table)
     idtp, idfp, idfn, _ = _idf1_counts(table)
+    idsw = id_switches(table)
     return MetricReport(
         hota=math.sqrt(deta * assa),
         deta=deta,
         assa=assa,
-        mota=mota(table),
-        idf1=idf1(table),
+        mota=_mota(table, idsw),
+        idf1=_idf1(idtp, idfp, idfn),
         tp=table.tp,
         fp=table.fp,
         fn=table.fn,
-        idsw=id_switches(table),
+        idsw=idsw,
         idtp=idtp,
         idfp=idfp,
         idfn=idfn,
@@ -349,32 +370,27 @@ class LeafAccuracyMatrix:
     cells: np.ndarray
 
 
-def leaf_accuracy_matrix(
-    gt: Iterable[GtAnnotation],
-    pred: Iterable[TrackedBox],
-    iou_min: float = 0.75,
-    iou_threshold: float = 0.5,
-) -> LeafAccuracyMatrix:
-    """Grade every annotated leaf-frame cell.
+def leaf_accuracy_matrix(table: MatchTable, iou_min: float = 0.75) -> LeafAccuracyMatrix:
+    """Grade every annotated leaf-frame cell of a matched sequence.
 
     A cell is correct when its TP match carries the leaf's persistent
     identity (the idf1 bijection) and overlaps at IoU >= iou_min; any
     other annotated cell is a failure; unannotated cells are absent.
     """
-    gt = list(gt)
-    table = match_frames(gt, list(pred), iou_threshold)
     _, _, _, bijection = _idf1_counts(table)
-    leaf_ids = sorted({row.leaf_id for row in gt})
     frames = list(table.frames)
+    leaf_ids = sorted(
+        {gt_id for frame in frames for gt_id, _, _ in table.matches[frame]}
+        | {gt_id for frame in frames for gt_id in table.misses[frame]}
+    )
     row_of = {leaf: i for i, leaf in enumerate(leaf_ids)}
-    col_of = {frame: j for j, frame in enumerate(frames)}
     cells = np.full((len(leaf_ids), len(frames)), CELL_ABSENT, dtype=np.int8)
-    for row in gt:
-        cells[row_of[row.leaf_id], col_of[row.frame]] = CELL_FAILURE
-    for frame in frames:
+    for j, frame in enumerate(frames):
+        for gt_id in table.misses[frame]:
+            cells[row_of[gt_id], j] = CELL_FAILURE
         for gt_id, pred_id, overlap in table.matches[frame]:
-            if bijection.get(gt_id) == pred_id and overlap >= iou_min:
-                cells[row_of[gt_id], col_of[frame]] = CELL_CORRECT
+            correct = bijection.get(gt_id) == pred_id and overlap >= iou_min
+            cells[row_of[gt_id], j] = CELL_CORRECT if correct else CELL_FAILURE
     return LeafAccuracyMatrix(leaf_ids=leaf_ids, frames=frames, cells=cells)
 
 

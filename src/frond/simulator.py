@@ -11,13 +11,10 @@ from typing import Mapping
 
 import numpy as np
 
-from .assignment import hungarian
 from .embedding import normalize
 from .geometry import BBox, iou_matrix
-from .metrics import GtAnnotation
+from .metrics import GtAnnotation, match_by_iou
 from .tracker import Detection, FrameResult
-
-_FORBIDDEN = 1.0e6
 
 
 def logistic_area(area_max: float, rate: float, midpoint: float, frame: int) -> float:
@@ -231,15 +228,10 @@ def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float)
         matched_det: set = set()
         if previous and dets:
             overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
-            eligible = overlap >= iou_gate
-            if eligible.any():
-                cost = np.where(eligible, 1.0 - overlap, _FORBIDDEN)
-                for ti, dj in hungarian(cost).pairs:
-                    if eligible[ti, dj]:
-                        track_id = previous[ti][0]
-                        assignments.append((track_id, dj, dets[dj].box))
-                        matched_prev.add(ti)
-                        matched_det.add(dj)
+            for ti, dj in match_by_iou(overlap, iou_gate):
+                assignments.append((previous[ti][0], dj, dets[dj].box))
+                matched_prev.add(ti)
+                matched_det.add(dj)
         for dj, detection in enumerate(dets):
             if dj in matched_det:
                 continue

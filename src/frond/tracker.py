@@ -68,7 +68,6 @@ class Track:
     prototype: np.ndarray
     age: int
     born_at: int
-    last_box: BBox
     embedding_sum: np.ndarray
     matched_count: int
 
@@ -166,7 +165,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         raw_index, det = kept[dj]
         _absorb(track, det.embedding, params)
         track.age = 0
-        track.last_box = det.box
         assignments.append((track.track_id, raw_index, det.box))
 
     new_ids = []
@@ -180,7 +178,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
                 prototype=det.embedding.copy(),
                 age=0,
                 born_at=frame,
-                last_box=det.box,
                 embedding_sum=det.embedding.copy(),
                 matched_count=1,
             )

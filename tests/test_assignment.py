@@ -81,8 +81,9 @@ class TestHungarian:
             hungarian(np.zeros((0, 3)))
 
     def test_constant_matrix_prefers_diagonal(self):
-        result = hungarian(np.full((4, 4), 2.0))
-        assert result.pairs == [(i, i) for i in range(4)]
+        for shape in ((4, 4), (3, 5), (5, 3)):
+            result = hungarian(np.full(shape, 2.0))
+            assert result.pairs == [(i, i) for i in range(min(shape))]
 
     def test_deterministic_under_repeats(self):
         rng = np.random.default_rng(21)
@@ -104,10 +105,12 @@ class TestHungarian:
 
     def test_optimal_on_random_integer_matrices(self):
         rng = np.random.default_rng(29)
-        for _ in range(120):
-            cost = rng.integers(0, 10, size=(4, 4)).astype(float)
-            result = hungarian(cost)
-            assert total_cost(cost, result.pairs) == min_assignment_total(cost)
+        for shape in ((4, 4), (2, 5), (3, 4), (4, 3), (5, 2)):
+            for _ in range(120):
+                cost = rng.integers(0, 10, size=shape).astype(float)
+                result = hungarian(cost)
+                assert len(result.pairs) == min(shape)
+                assert total_cost(cost, result.pairs) == min_assignment_total(cost)
 
     def test_optimal_on_random_rectangular(self):
         rng = np.random.default_rng(31)

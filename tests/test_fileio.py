@@ -14,6 +14,7 @@ from frond import (
     TrackerParams,
     TripletSpec,
     leaf_accuracy_matrix,
+    match_frames,
     read_detections,
     read_gt,
     read_ppm,
@@ -432,7 +433,7 @@ class TestLeafMatrixCsv:
             TrackedBox(1, 2, BBox(100, 0, 10, 10)),
         ]
         path = tmp_path / "matrix.csv"
-        write_leaf_matrix_csv(leaf_accuracy_matrix(gt, pred), path)
+        write_leaf_matrix_csv(leaf_accuracy_matrix(match_frames(gt, pred)), path)
         assert path.read_text() == "leaf_id,1,2\n1,1,0\n2,1,\n"
 
 

@@ -316,7 +316,7 @@ class TestLeafMatrix:
             p(1, 2, u=100.0),
             p(2, 2, u=100.0, v=2.0),
         ]
-        matrix = leaf_accuracy_matrix(gt, pred)
+        matrix = leaf_accuracy_matrix(match_frames(gt, pred))
         assert matrix.leaf_ids == [1, 2]
         assert matrix.frames == [1, 2, 3]
         expected = np.array(
@@ -331,14 +331,14 @@ class TestLeafMatrix:
     def test_iou_min_boundary(self):
         gt = [g(1, 1), g(2, 1)]
         pred = [p(1, 1, h=7.5), p(2, 1, h=7.4)]
-        matrix = leaf_accuracy_matrix(gt, pred)
+        matrix = leaf_accuracy_matrix(match_frames(gt, pred))
         assert matrix.cells[0, 0] == CELL_CORRECT
         assert matrix.cells[0, 1] == CELL_FAILURE
 
     def test_wrong_identity_is_failure_even_with_perfect_box(self):
         gt = [g(f, 1) for f in range(1, 11)]
         pred = [p(f, 1) for f in range(1, 10)] + [p(10, 2)]
-        matrix = leaf_accuracy_matrix(gt, pred)
+        matrix = leaf_accuracy_matrix(match_frames(gt, pred))
         assert list(matrix.cells[0, :9]) == [CELL_CORRECT] * 9
         assert matrix.cells[0, 9] == CELL_FAILURE
 
@@ -352,7 +352,7 @@ class TestLeafMatrix:
             p(3, 1),
             p(4, 8, u=700.0),
         ]
-        daily = daily_accuracy(leaf_accuracy_matrix(gt, pred))
+        daily = daily_accuracy(leaf_accuracy_matrix(match_frames(gt, pred)))
         assert daily == {1: 1.0, 2: 0.5, 3: 1.0}
 
 
