@@ -15,9 +15,7 @@ def leaf_detection(u, embedding, conf=0.95):
 
 
 def describe(bank):
-    parts = [
-        f"id {t.track_id} (age {t.age}, seen {t.matched_count}x)" for t in bank.tracks
-    ]
+    parts = [f"id {t.track_id} (age {t.age}, born frame {t.born_at})" for t in bank.tracks]
     return ", ".join(parts) if parts else "(empty)"
 
 

@@ -9,6 +9,7 @@ byte-identical files.
 
 from __future__ import annotations
 
+import math
 import re
 from pathlib import Path
 from typing import Iterable, Mapping
@@ -40,7 +41,7 @@ def _parse_float(token: str, path, lineno: int, what: str) -> float:
         value = float(token)
     except ValueError:
         raise ValueError(f"{path}:{lineno}: malformed {what}: {token!r}") from None
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {what}: {token!r}")
     return value
 
@@ -73,6 +74,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
     dim = int(header.group(1))
     if dim < 1:
         raise ValueError(f"{path}:1: embedding dimension must be at least 1")
+    float_names = ("x", "y", "w", "h", "confidence") + ("embedding component",) * dim
     frames: dict[int, list[Detection]] = {}
     last_frame = None
     for lineno, line in enumerate(lines[1:], start=2):
@@ -86,16 +88,19 @@ def read_detections(path) -> dict[int, list[Detection]]:
             raise ValueError(f"{path}:{lineno}: frames must be non-decreasing")
         last_frame = frame
         _parse_int(fields[1], path, lineno, "track id")
-        x = _parse_float(fields[2], path, lineno, "x")
-        y = _parse_float(fields[3], path, lineno, "y")
-        w = _parse_float(fields[4], path, lineno, "w")
-        h = _parse_float(fields[5], path, lineno, "h")
-        conf = _parse_float(fields[6], path, lineno, "confidence")
-        embedding = np.array(
-            [_parse_float(token, path, lineno, "embedding component") for token in fields[7:]]
-        )
         try:
-            detection = Detection(BBox(x, y, w, h), conf, embedding)
+            values = [float(token) for token in fields[2:]]
+            valid = all(map(math.isfinite, values))
+        except ValueError:
+            valid = False
+        if not valid:
+            # Parse the line again field by field; this raises naming the
+            # first bad field and its token.
+            for token, what in zip(fields[2:], float_names):
+                _parse_float(token, path, lineno, what)
+        x, y, w, h, conf = values[:5]
+        try:
+            detection = Detection(BBox(x, y, w, h), conf, np.array(values[5:]))
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
         frames.setdefault(frame, []).append(detection)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,7 +24,7 @@ class BBox:
     def __post_init__(self):
         for name in ("u", "v", "w", "h"):
             value = getattr(self, name)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 raise ValueError(f"non-finite box field {name}: {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")

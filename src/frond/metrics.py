@@ -67,15 +67,44 @@ def match_by_iou(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]
 
     The matching has as many pairs as possible and, among those, the
     least total (1 - IoU).  Pairs are sorted by row index.
+
+    Rows and columns joined by pairs with IoU >= threshold form the
+    connected components of a bipartite graph.  No pair can cross two
+    components, so both the pair count and the total cost add up over
+    components, and solving each component alone is exact.
     """
-    eligible = overlap >= threshold
-    if not eligible.any():
-        return []
-    # Pairs below threshold cost 1e6, which dwarfs any sum of real costs,
-    # so the solver first maximizes the number of admissible pairs and
-    # only then minimizes cost among them; the filter drops the rest.
-    cost = np.where(eligible, 1.0 - overlap, 1.0e6)
-    return [(i, j) for i, j in hungarian(cost).pairs if eligible[i, j]]
+    n_rows = overlap.shape[0]
+    edges = np.argwhere(overlap >= threshold).tolist()
+    root = list(range(n_rows + overlap.shape[1]))  # rows, then columns offset by n_rows
+
+    def find(node: int) -> int:
+        while root[node] != node:
+            root[node] = root[root[node]]
+            node = root[node]
+        return node
+
+    for i, j in edges:
+        root[find(i)] = find(n_rows + j)
+    components: dict = {}
+    for i in sorted({i for i, _ in edges}):
+        components.setdefault(find(i), ([], []))[0].append(i)
+    for j in sorted({j for _, j in edges}):
+        components[find(n_rows + j)][1].append(j)
+
+    pairs = []
+    for rows, cols in components.values():
+        if len(rows) == 1 and len(cols) == 1:
+            pairs.append((rows[0], cols[0]))
+            continue
+        sub = overlap[np.ix_(rows, cols)]
+        eligible = sub >= threshold
+        # Pairs below threshold cost 1e6, which dwarfs any sum of real
+        # costs, so the solver first maximizes the number of admissible
+        # pairs and only then minimizes cost among them; the filter drops
+        # the rest.
+        cost = np.where(eligible, 1.0 - sub, 1.0e6)
+        pairs += [(rows[a], cols[b]) for a, b in hungarian(cost).pairs if eligible[a, b]]
+    return sorted(pairs)
 
 
 def _group_by_frame(rows: Iterable, id_field: str, side: str) -> dict:

@@ -8,6 +8,7 @@ tracks unseen for more than tau_a consecutive frames are pruned.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -30,7 +31,7 @@ class Detection:
 
     def __post_init__(self):
         conf = float(self.confidence)
-        if not np.isfinite(conf) or not 0.0 <= conf <= 1.0:
+        if not math.isfinite(conf) or not 0.0 <= conf <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence!r}")
         self.confidence = conf
         self.embedding = normalize(self.embedding)
@@ -69,7 +70,6 @@ class Track:
     age: int
     born_at: int
     embedding_sum: np.ndarray
-    matched_count: int
 
 
 @dataclass(eq=False)
@@ -179,7 +179,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
                 age=0,
                 born_at=frame,
                 embedding_sum=det.embedding.copy(),
-                matched_count=1,
             )
         )
         new_ids.append(track_id)
@@ -198,7 +197,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
 
 def _absorb(track: Track, embedding: np.ndarray, params: TrackerParams) -> None:
     track.embedding_sum = track.embedding_sum + embedding
-    track.matched_count += 1
     if params.ema_mode == "ema":
         blended = params.alpha * track.prototype + (1.0 - params.alpha) * embedding
         track.prototype = normalize(blended)

@@ -106,6 +106,38 @@ class TestDetectionsFile:
         with pytest.raises(ValueError, match="non-finite confidence"):
             read_detections(path)
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("1,-1,0.0,zero,5.0,5.0,0.9,1.0,0.0", "malformed y: 'zero'"),
+            ("1,-1,0.0,0.0,5.0,5.0,nan,1.0,0.0", "non-finite confidence: 'nan'"),
+            ("1,-1,inf,0.0,5.0,5.0,0.9,1.0,0.0", "non-finite x: 'inf'"),
+            ("1,-1,-inf,zero,5.0,5.0,0.9,1.0,0.0", "non-finite x: '-inf'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0.1", "malformed embedding component: '0.0.1'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,inf", "non-finite embedding component: 'inf'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,-inf", "non-finite embedding component: '-inf'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,nan", "non-finite embedding component: 'nan'"),
+        ],
+    )
+    def test_bad_float_message_is_exact(self, tmp_path, row, message):
+        path = tmp_path / "det.txt"
+        path.write_text(f"#dim=2\n{row}\n")
+        with pytest.raises(ValueError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:2: {message}"
+
+    def test_first_bad_line_is_reported(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text(
+            "#dim=2\n"
+            "1,-1,0.0,0.0,5.0,5.0,0.9,1.0,nan\n"
+            "1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n"
+            "2,-1,zero,0.0,5.0,5.0,0.9,1.0,0.0\n"
+        )
+        with pytest.raises(ValueError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:2: non-finite embedding component: 'nan'"
+
     def test_decreasing_frames_rejected(self, tmp_path):
         path = tmp_path / "det.txt"
         path.write_text(

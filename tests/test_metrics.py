@@ -1,6 +1,7 @@
 """Detection matching and the HOTA / MOTA / IDF1 metric family."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from frond import (
     merge_match_tables,
     mota,
 )
-from oracles import brute_idf1, brute_mota, match_counts
+from oracles import _best_frame_matching, _iou, brute_idf1, brute_mota, match_counts
 
 
 def g(frame, leaf, u=0.0, v=0.0, w=10.0, h=10.0):
@@ -71,6 +72,58 @@ def random_scene(rng, n_frames=6, n_objects=3):
             next_fake += 1
             pred.append(p(f, next_fake, u=3000.0 + rng.uniform(0, 500), v=0.0))
     return gt, pred
+
+
+def clustered_scene(rng, n_frames=4):
+    """Frames in which several gt boxes overlap several predictions.
+
+    Each frame has two clusters 1000 px apart.  Inside a cluster, boxes
+    of about 20 px sit 3-9 px apart, so the pairs at IoU >= 0.5 form
+    components with several rows and columns, chains among them.  At
+    most five boxes a side keep the brute-force oracle cheap.
+    """
+    gt, pred = [], []
+    for f in range(1, n_frames + 1):
+        leaf = tid = 0
+        for origin, most in ((0.0, 3), (1000.0, 2)):
+            steps = rng.uniform(3.0, 9.0, size=int(rng.integers(1, most + 1)))
+            lefts = origin + np.cumsum(steps)
+            for u in lefts:
+                leaf += 1
+                box = BBox(u, rng.uniform(-2, 2), *rng.uniform(18.0, 22.0, size=2))
+                gt.append(GtAnnotation(f, leaf, box))
+            n_pred = int(rng.integers(1, most + 1))
+            for u in rng.uniform(lefts[0] - 4.0, lefts[-1] + 4.0, size=n_pred):
+                tid += 1
+                box = BBox(u, rng.uniform(-2, 2), *rng.uniform(18.0, 22.0, size=2))
+                pred.append(TrackedBox(f, tid, box))
+    return gt, pred
+
+
+def component_kinds(g_rows, p_rows, thr=0.5):
+    """Kinds of the components of a frame's pairs with IoU >= thr that
+    have at least two rows and two columns: "block" when every pair
+    inside is eligible, "chain" otherwise."""
+    eligible = [[_iou(a.box, b.box) >= thr for b in p_rows] for a in g_rows]
+    kinds = []
+    seen: set = set()
+    for start in range(len(g_rows)):
+        if start in seen or not any(eligible[start]):
+            continue
+        rows, cols, todo = {start}, set(), [start]
+        while todo:
+            i = todo.pop()
+            for j in range(len(p_rows)):
+                if eligible[i][j] and j not in cols:
+                    cols.add(j)
+                    reached = {b for b in range(len(g_rows)) if eligible[b][j]} - rows
+                    rows |= reached
+                    todo += reached
+        seen |= rows
+        if len(rows) >= 2 and len(cols) >= 2:
+            full = all(eligible[i][j] for i in rows for j in cols)
+            kinds.append("block" if full else "chain")
+    return kinds
 
 
 class TestMatchFrames:
@@ -125,6 +178,28 @@ class TestMatchFrames:
             table = match_frames(gt, pred)
             _, fn, fp = match_counts(gt, pred)
             assert (table.fn, table.fp) == (fn, fp)
+
+    # Below 0.5, two weak pairs can sum to less IoU than one strong pair,
+    # so a matcher that maximized total IoU alone would lose pairs there.
+    @pytest.mark.parametrize("thr", [0.3, 0.5])
+    def test_clustered_frames_agree_with_brute_force(self, thr):
+        rng = np.random.default_rng(59)
+        kinds: Counter = Counter()
+        for _ in range(40):
+            gt, pred = clustered_scene(rng)
+            table = match_frames(gt, pred, iou_threshold=thr)
+            for frame in table.frames:
+                g_rows = [r for r in gt if r.frame == frame]
+                p_rows = [r for r in pred if r.frame == frame]
+                best = _best_frame_matching(g_rows, p_rows, thr)
+                got = table.matches[frame]
+                assert len(got) == len(best)
+                assert sum(iou for _, _, iou in got) == pytest.approx(
+                    sum(_iou(g_rows[i].box, p_rows[j].box) for i, j in best), abs=1e-9
+                )
+                kinds.update(component_kinds(g_rows, p_rows, thr))
+        # The scenes must exercise components the matcher cannot pair directly.
+        assert kinds["block"] >= 5 and kinds["chain"] >= 5
 
 
 class TestDetA:
