@@ -25,7 +25,7 @@ from .metrics import (
     leaf_accuracy_matrix,
 )
 from .simulator import generate
-from .tracker import TrackerParams, run_sequence, tracked_boxes
+from .tracker import EMA_MODES, TrackerParams, run_sequence, tracked_boxes
 
 _SWEEP_COLUMNS = ("tau_s", "alpha", "mode", "hota", "deta", "assa", "mota", "idf1")
 
@@ -114,8 +114,9 @@ def _cmd_sweep(args) -> int:
     if not tau_s_values or not alpha_values or not modes:
         raise _UsageError("sweep grid must be non-empty on every axis")
     for mode in modes:
-        if mode not in ("ema", "mean"):
-            raise _UsageError(f"--ema-mode entries must be 'ema' or 'mean', got {mode!r}")
+        if mode not in EMA_MODES:
+            allowed = " or ".join(map(repr, EMA_MODES))
+            raise _UsageError(f"--ema-mode entries must be {allowed}, got {mode!r}")
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
     lines = [",".join(_SWEEP_COLUMNS)]

@@ -1,10 +1,10 @@
 """Line-oriented text formats: detections, ground truth, tracker results,
-truth maps, triplet lists, key-value configs, plain PPM images, and the
-per-leaf accuracy CSV.
+truth maps, triplet lists, key-value configs, and the per-leaf accuracy CSV.
 
 Floats are written with shortest round-trip formatting, files end with a
 trailing newline, and line endings are always LF, so equal inputs produce
-byte-identical files.
+byte-identical files.  Every comma-separated format is read through one
+row loop, so a bad line is reported the same way in each of them.
 """
 
 from __future__ import annotations
@@ -17,12 +17,13 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .embedding import CropRef, TripletSpec
-from .geometry import BBox, Raster
+from .geometry import BBox
 from .metrics import CELL_ABSENT, CELL_CORRECT, GtAnnotation, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
 from .tracker import Detection, FrameResult, TrackedBox, TrackerParams, tracked_boxes
 
 _HEADER_RE = re.compile(r"#dim=(\d+)$")
+_BOX_NAMES = ("x", "y", "w", "h")
 
 
 def _fmt(value: float) -> str:
@@ -44,6 +45,37 @@ def _parse_float(token: str, path, lineno: int, what: str) -> float:
     if not math.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {what}: {token!r}")
     return value
+
+
+def _rows(path, lines: list[str], n_fields: int, first_lineno: int = 1):
+    """Yield (lineno, fields) for each comma-separated line, checking the field count."""
+    for lineno, line in enumerate(lines, start=first_lineno):
+        fields = line.split(",")
+        if len(fields) != n_fields:
+            raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        yield lineno, fields
+
+
+def _frame(token: str, path, lineno: int) -> int:
+    frame = _parse_int(token, path, lineno, "frame")
+    if frame < 1:
+        raise ValueError(f"{path}:{lineno}: frame indices start at 1, got {frame}")
+    return frame
+
+
+def _floats(tokens: list[str], names, path, lineno: int) -> list[float]:
+    """Convert float fields in one pass; a bad line is parsed again for its message."""
+    try:
+        values = [float(token) for token in tokens]
+        valid = all(map(math.isfinite, values))
+    except ValueError:
+        valid = False
+    if not valid:
+        # Parse the line again field by field; this raises naming the
+        # first bad field and its token.
+        for token, what in zip(tokens, names):
+            _parse_float(token, path, lineno, what)
+    return values
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -74,30 +106,16 @@ def read_detections(path) -> dict[int, list[Detection]]:
     dim = int(header.group(1))
     if dim < 1:
         raise ValueError(f"{path}:1: embedding dimension must be at least 1")
-    float_names = ("x", "y", "w", "h", "confidence") + ("embedding component",) * dim
+    float_names = _BOX_NAMES + ("confidence",) + ("embedding component",) * dim
     frames: dict[int, list[Detection]] = {}
-    last_frame = None
-    for lineno, line in enumerate(lines[1:], start=2):
-        fields = line.split(",")
-        if len(fields) != 7 + dim:
-            raise ValueError(f"{path}:{lineno}: expected {7 + dim} fields, got {len(fields)}")
-        frame = _parse_int(fields[0], path, lineno, "frame")
-        if frame < 1:
-            raise ValueError(f"{path}:{lineno}: frame indices start at 1, got {frame}")
-        if last_frame is not None and frame < last_frame:
+    last_frame = 1
+    for lineno, fields in _rows(path, lines[1:], 7 + dim, first_lineno=2):
+        frame = _frame(fields[0], path, lineno)
+        if frame < last_frame:
             raise ValueError(f"{path}:{lineno}: frames must be non-decreasing")
         last_frame = frame
         _parse_int(fields[1], path, lineno, "track id")
-        try:
-            values = [float(token) for token in fields[2:]]
-            valid = all(map(math.isfinite, values))
-        except ValueError:
-            valid = False
-        if not valid:
-            # Parse the line again field by field; this raises naming the
-            # first bad field and its token.
-            for token, what in zip(fields[2:], float_names):
-                _parse_float(token, path, lineno, what)
+        values = _floats(fields[2:], float_names, path, lineno)
         x, y, w, h, conf = values[:5]
         try:
             detection = Detection(BBox(x, y, w, h), conf, np.array(values[5:]))
@@ -137,23 +155,15 @@ def read_gt(path) -> list[GtAnnotation]:
     """Read ground-truth annotations; (frame, leaf_id) must be unique."""
     rows = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        fields = line.split(",")
-        if len(fields) != 6:
-            raise ValueError(f"{path}:{lineno}: expected 6 fields, got {len(fields)}")
-        frame = _parse_int(fields[0], path, lineno, "frame")
-        if frame < 1:
-            raise ValueError(f"{path}:{lineno}: frame indices start at 1, got {frame}")
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 6):
+        frame = _frame(fields[0], path, lineno)
         leaf_id = _parse_int(fields[1], path, lineno, "leaf id")
         if (frame, leaf_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate (frame, leaf_id) = ({frame}, {leaf_id})")
         seen.add((frame, leaf_id))
-        x = _parse_float(fields[2], path, lineno, "x")
-        y = _parse_float(fields[3], path, lineno, "y")
-        w = _parse_float(fields[4], path, lineno, "w")
-        h = _parse_float(fields[5], path, lineno, "h")
+        box = _floats(fields[2:], _BOX_NAMES, path, lineno)
         try:
-            rows.append(GtAnnotation(frame, leaf_id, BBox(x, y, w, h)))
+            rows.append(GtAnnotation(frame, leaf_id, BBox(*box)))
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     return rows
@@ -176,26 +186,17 @@ def read_results(path) -> list[TrackedBox]:
     """Read a tracker results file into evaluation rows."""
     rows = []
     seen = set()
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
-        frame = _parse_int(fields[0], path, lineno, "frame")
-        if frame < 1:
-            raise ValueError(f"{path}:{lineno}: frame indices start at 1, got {frame}")
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 7):
+        frame = _frame(fields[0], path, lineno)
         track_id = _parse_int(fields[1], path, lineno, "track id")
         if track_id < 1:
             raise ValueError(f"{path}:{lineno}: track ids start at 1, got {track_id}")
         if (frame, track_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate (frame, track_id) = ({frame}, {track_id})")
         seen.add((frame, track_id))
-        x = _parse_float(fields[2], path, lineno, "x")
-        y = _parse_float(fields[3], path, lineno, "y")
-        w = _parse_float(fields[4], path, lineno, "w")
-        h = _parse_float(fields[5], path, lineno, "h")
-        _parse_float(fields[6], path, lineno, "confidence")
+        values = _floats(fields[2:], _BOX_NAMES + ("confidence",), path, lineno)
         try:
-            rows.append(TrackedBox(frame, track_id, BBox(x, y, w, h)))
+            rows.append(TrackedBox(frame, track_id, BBox(*values[:4])))
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
     return rows
@@ -219,11 +220,9 @@ def write_results(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_truth_map(path) -> dict[tuple[int, int], int]:
+    """Read a (frame, det_index) -> leaf_id map; frame 0 is accepted here."""
     out: dict[tuple[int, int], int] = {}
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ValueError(f"{path}:{lineno}: expected 3 fields, got {len(fields)}")
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 3):
         frame = _parse_int(fields[0], path, lineno, "frame")
         det_index = _parse_int(fields[1], path, lineno, "detection index")
         leaf_id = _parse_int(fields[2], path, lineno, "leaf id")
@@ -247,10 +246,7 @@ def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
 
 def read_triplets(path) -> list[TripletSpec]:
     rows = []
-    for lineno, line in enumerate(Path(path).read_text().splitlines(), start=1):
-        fields = line.split(",")
-        if len(fields) != 7:
-            raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(fields)}")
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 7):
         plant, leaf, t_a, t_p, neg_plant, neg_leaf, t_n = (
             _parse_int(token, path, lineno, "triplet field") for token in fields
         )
@@ -383,44 +379,6 @@ def read_scenario_config(path) -> ScenarioConfig:
         return ScenarioConfig(**kwargs)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
-
-
-# ---------------------------------------------------------------------------
-# plain PPM (P3) images
-# ---------------------------------------------------------------------------
-
-def write_ppm(raster: Raster, path) -> None:
-    """Write a raster as a plain (ASCII, P3) PPM with maxval 255."""
-    levels = np.clip(np.rint(raster.data * 255.0), 0, 255).astype(int)
-    lines = ["P3", f"{raster.width} {raster.height}", "255"]
-    for row in levels:
-        lines.append(" ".join(str(v) for v in row.reshape(-1)))
-    _write_lines(path, lines)
-
-
-def read_ppm(path) -> Raster:
-    """Read a plain (P3) PPM; samples scale to [0, 1] by the file's maxval."""
-    text = Path(path).read_text()
-    tokens = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0]
-        tokens.extend(line.split())
-    if not tokens or tokens[0] != "P3":
-        raise ValueError(f"{path}: not a plain PPM (P3) file")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:4])
-        samples = np.array([int(t) for t in tokens[4:]], dtype=np.float64)
-    except ValueError:
-        raise ValueError(f"{path}: malformed PPM token") from None
-    if width < 1 or height < 1 or maxval < 1:
-        raise ValueError(f"{path}: bad PPM dimensions {width}x{height} maxval {maxval}")
-    if samples.size != width * height * 3:
-        raise ValueError(
-            f"{path}: expected {width * height * 3} samples, got {samples.size}"
-        )
-    if samples.min() < 0 or samples.max() > maxval:
-        raise ValueError(f"{path}: sample out of range [0, {maxval}]")
-    return Raster(samples.reshape(height, width, 3) / maxval)
 
 
 # ---------------------------------------------------------------------------

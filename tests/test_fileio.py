@@ -8,7 +8,6 @@ from frond import (
     CropRef,
     Detection,
     GtAnnotation,
-    Raster,
     ScenarioConfig,
     TrackedBox,
     TrackerParams,
@@ -17,7 +16,6 @@ from frond import (
     match_frames,
     read_detections,
     read_gt,
-    read_ppm,
     read_results,
     read_scenario_config,
     read_tracker_params,
@@ -27,7 +25,6 @@ from frond import (
     write_detections,
     write_gt,
     write_leaf_matrix_csv,
-    write_ppm,
     write_results,
     write_triplets,
     write_truth_map,
@@ -46,6 +43,14 @@ def sample_frames(rng, n_frames=3, per_frame=2, dim=6):
             for _ in range(per_frame)
         ]
     return frames
+
+
+def error_message(reader, path, text):
+    """Write text to path, read it back with reader and return the error."""
+    path.write_text(text)
+    with pytest.raises(ValueError) as err:
+        reader(path)
+    return str(err.value)
 
 
 class TestDetectionsFile:
@@ -170,6 +175,25 @@ class TestDetectionsFile:
         with pytest.raises(ValueError, match="empty detection sequence"):
             write_detections({}, tmp_path / "det.txt")
 
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("", "expected 9 fields, got 1"),
+            ("one,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: 'one'"),
+            ("1,raw,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed track id: 'raw'"),
+            ("1,-1,0.0,0.0,0.0,5.0,0.9,1.0,0.0",
+             "box extent must be positive, got w=0.0, h=5.0"),
+            ("1,-1,0.0,0.0,5.0,5.0,1.4,1.0,0.0", "confidence must lie in [0, 1], got 1.4"),
+            # Two defects on one line: the earlier check wins.
+            ("0,raw,zero,0.0,5.0,5.0,0.9,1.0,0.0", "frame indices start at 1, got 0"),
+            ("1,-1,0.0,0.0,-5.0,5.0,nan,1.0,0.0", "non-finite confidence: 'nan'"),
+        ],
+    )
+    def test_error_message_is_exact(self, tmp_path, row, message):
+        path = tmp_path / "det.txt"
+        got = error_message(read_detections, path, f"#dim=2\n{row}\n")
+        assert got == f"{path}:2: {message}"
+
 
 class TestGtFile:
     def test_round_trip_and_sorting(self, tmp_path):
@@ -200,6 +224,38 @@ class TestGtFile:
         path.write_text("1,0,0.0,0.0,5.0,5.0\n")
         with pytest.raises(ValueError, match=r"gt\.txt:1: "):
             read_gt(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("1,1,0.0,0.0,5.0\n", 1, "expected 6 fields, got 5"),
+            ("1,1,0.0,0.0,5.0,5.0,1.0\n", 1, "expected 6 fields, got 7"),
+            ("1,1,0.0,0.0,5.0,5.0\n\n", 2, "expected 6 fields, got 1"),
+            ("one,1,0.0,0.0,5.0,5.0\n", 1, "malformed frame: 'one'"),
+            ("1.0,1,0.0,0.0,5.0,5.0\n", 1, "malformed frame: '1.0'"),
+            ("0,1,0.0,0.0,5.0,5.0\n", 1, "frame indices start at 1, got 0"),
+            ("-2,1,0.0,0.0,5.0,5.0\n", 1, "frame indices start at 1, got -2"),
+            ("1,leaf,0.0,0.0,5.0,5.0\n", 1, "malformed leaf id: 'leaf'"),
+            ("1,1,0.0,0.0,5.0,5.0\n1,1,9.0,9.0,5.0,5.0\n", 2,
+             "duplicate (frame, leaf_id) = (1, 1)"),
+            ("1,1,zero,0.0,5.0,5.0\n", 1, "malformed x: 'zero'"),
+            ("1,1,0.0,nan,5.0,5.0\n", 1, "non-finite y: 'nan'"),
+            ("1,1,0.0,0.0,inf,5.0\n", 1, "non-finite w: 'inf'"),
+            ("1,1,0.0,0.0,5.0,-inf\n", 1, "non-finite h: '-inf'"),
+            ("1,1,0.0,0.0,0.0,5.0\n", 1, "box extent must be positive, got w=0.0, h=5.0"),
+            ("1,1,0.0,0.0,5.0,-1.0\n", 1, "box extent must be positive, got w=5.0, h=-1.0"),
+            ("1,0,0.0,0.0,5.0,5.0\n", 1, "leaf ids start at 1, got 0"),
+            # Two defects on one line: the earlier check wins.
+            ("0,leaf,0.0,0.0,5.0,5.0\n", 1, "frame indices start at 1, got 0"),
+            ("1,1,0.0,0.0,5.0,5.0\n1,1,zero,0.0,5.0,5.0\n", 2,
+             "duplicate (frame, leaf_id) = (1, 1)"),
+            ("1,1,-inf,zero,5.0,5.0\n", 1, "non-finite x: '-inf'"),
+            ("1,0,0.0,0.0,0.0,5.0\n", 1, "box extent must be positive, got w=0.0, h=5.0"),
+        ],
+    )
+    def test_error_message_is_exact(self, tmp_path, text, lineno, message):
+        path = tmp_path / "gt.txt"
+        assert error_message(read_gt, path, text) == f"{path}:{lineno}: {message}"
 
 
 class TestResultsFile:
@@ -247,6 +303,33 @@ class TestResultsFile:
         with pytest.raises(ValueError, match="duplicate"):
             read_results(path)
 
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("1,1,0.0,0.0,5.0,5.0\n", 1, "expected 7 fields, got 6"),
+            ("1,1,0.0,0.0,5.0,5.0,1.0\n\n", 2, "expected 7 fields, got 1"),
+            ("one,1,0.0,0.0,5.0,5.0,1.0\n", 1, "malformed frame: 'one'"),
+            ("0,1,0.0,0.0,5.0,5.0,1.0\n", 1, "frame indices start at 1, got 0"),
+            ("1,track,0.0,0.0,5.0,5.0,1.0\n", 1, "malformed track id: 'track'"),
+            ("1,0,0.0,0.0,5.0,5.0,1.0\n", 1, "track ids start at 1, got 0"),
+            ("1,-1,0.0,0.0,5.0,5.0,1.0\n", 1, "track ids start at 1, got -1"),
+            ("1,1,0.0,0.0,5.0,5.0,1.0\n1,1,9.0,9.0,5.0,5.0,1.0\n", 2,
+             "duplicate (frame, track_id) = (1, 1)"),
+            ("1,1,zero,0.0,5.0,5.0,1.0\n", 1, "malformed x: 'zero'"),
+            ("1,1,0.0,0.0,5.0,inf,1.0\n", 1, "non-finite h: 'inf'"),
+            ("1,1,0.0,0.0,5.0,5.0,high\n", 1, "malformed confidence: 'high'"),
+            ("1,1,0.0,0.0,5.0,5.0,nan\n", 1, "non-finite confidence: 'nan'"),
+            ("1,1,0.0,0.0,5.0,0.0,1.0\n", 1, "box extent must be positive, got w=5.0, h=0.0"),
+            # Two defects on one line: the earlier check wins, and every
+            # float, confidence included, is checked before the box.
+            ("1,0,zero,0.0,5.0,5.0,1.0\n", 1, "track ids start at 1, got 0"),
+            ("1,1,0.0,0.0,-5.0,5.0,nan\n", 1, "non-finite confidence: 'nan'"),
+        ],
+    )
+    def test_error_message_is_exact(self, tmp_path, text, lineno, message):
+        path = tmp_path / "res.txt"
+        assert error_message(read_results, path, text) == f"{path}:{lineno}: {message}"
+
 
 class TestTruthMapFile:
     def test_round_trip(self, tmp_path):
@@ -261,6 +344,26 @@ class TestTruthMapFile:
         path.write_text("1,0\n")
         with pytest.raises(ValueError, match="expected 3 fields"):
             read_truth_map(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("1,0\n", 1, "expected 3 fields, got 2"),
+            ("1,0,3\n1,1,1,1\n", 2, "expected 3 fields, got 4"),
+            ("a,0,1\n", 1, "malformed frame: 'a'"),
+            ("1,b,1\n", 1, "malformed detection index: 'b'"),
+            ("1,0,c\n", 1, "malformed leaf id: 'c'"),
+            ("1,0,3\n1,0,4\n", 2, "duplicate (frame, det_index)"),
+        ],
+    )
+    def test_error_message_is_exact(self, tmp_path, text, lineno, message):
+        path = tmp_path / "map.txt"
+        assert error_message(read_truth_map, path, text) == f"{path}:{lineno}: {message}"
+
+    def test_frame_zero_accepted(self, tmp_path):
+        path = tmp_path / "map.txt"
+        path.write_text("0,0,3\n0,1,1\n")
+        assert read_truth_map(path) == {(0, 0): 3, (0, 1): 1}
 
 
 class TestTripletsFile:
@@ -293,6 +396,20 @@ class TestTripletsFile:
         path.write_text("0,2,5,9,0,2,3\n")
         with pytest.raises(ValueError, match=r"tri\.txt:1: "):
             read_triplets(path)
+
+    @pytest.mark.parametrize(
+        "text, lineno, message",
+        [
+            ("0,2,5,9,1,4\n", 1, "expected 7 fields, got 6"),
+            ("0,2,5,9,1,4,5\n0,2,5,9,1,4,5,6\n", 2, "expected 7 fields, got 8"),
+            ("0,2,5,x,1,4,5\n", 1, "malformed triplet field: 'x'"),
+            ("0,2,5,5,1,4,5\n", 1, "positive must come from a different time than the anchor"),
+            ("0,2,5,9,0,2,3\n", 1, "negative must show a different leaf than the anchor"),
+        ],
+    )
+    def test_error_message_is_exact(self, tmp_path, text, lineno, message):
+        path = tmp_path / "tri.txt"
+        assert error_message(read_triplets, path, text) == f"{path}:{lineno}: {message}"
 
 
 class TestTrackerParamsFile:
@@ -414,42 +531,6 @@ class TestScenarioConfigFile:
         path.write_text("n_frames=0\nn_leaves=2\n")
         with pytest.raises(ValueError, match=r"scene\.cfg: "):
             read_scenario_config(path)
-
-
-class TestPpm:
-    def test_round_trip_exact_on_eighth_levels(self, tmp_path):
-        rng = np.random.default_rng(17)
-        levels = rng.integers(0, 256, size=(4, 5, 3))
-        raster = Raster(levels / 255.0)
-        path = tmp_path / "img.ppm"
-        write_ppm(raster, path)
-        loaded = read_ppm(path)
-        assert np.array_equal(loaded.data, raster.data)
-        assert path.read_text().splitlines()[:3] == ["P3", "5 4", "255"]
-
-    def test_comments_ignored(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_text("P3 # plain\n# full-line comment\n1 1\n255\n10 20 30\n")
-        loaded = read_ppm(path)
-        assert loaded.data[0, 0] == pytest.approx([10 / 255, 20 / 255, 30 / 255], abs=0)
-
-    def test_wrong_magic(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_text("P6\n1 1\n255\n0 0 0\n")
-        with pytest.raises(ValueError, match="not a plain PPM"):
-            read_ppm(path)
-
-    def test_truncated_samples(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_text("P3\n2 1\n255\n0 0 0\n")
-        with pytest.raises(ValueError, match="expected 6 samples, got 3"):
-            read_ppm(path)
-
-    def test_out_of_range_sample(self, tmp_path):
-        path = tmp_path / "img.ppm"
-        path.write_text("P3\n1 1\n255\n0 0 300\n")
-        with pytest.raises(ValueError, match="sample out of range"):
-            read_ppm(path)
 
 
 class TestLeafMatrixCsv:

@@ -1,15 +1,9 @@
-"""Box validity, IoU values and properties, and bilinear crop behavior."""
+"""Box validity, and IoU values and properties."""
 
 import numpy as np
 import pytest
 
-from frond import BBox, Raster, crop_and_resize, iou, iou_matrix
-
-
-def gray(values) -> Raster:
-    """Build an RGB raster from a 2-d grayscale array."""
-    arr = np.asarray(values, dtype=np.float64)
-    return Raster(np.repeat(arr[:, :, None], 3, axis=2))
+from frond import BBox, iou, iou_matrix
 
 
 def random_box(rng) -> BBox:
@@ -76,91 +70,3 @@ class TestIou:
     def test_matrix_empty_sides(self):
         assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
         assert iou_matrix([BBox(0, 0, 1, 1)], []).shape == (1, 0)
-
-
-class TestRaster:
-    def test_rejects_bad_shape(self):
-        with pytest.raises(ValueError):
-            Raster(np.zeros((4, 4)))
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            Raster(np.full((2, 2, 3), 1.5))
-
-    def test_dimensions(self):
-        r = gray(np.zeros((3, 5)))
-        assert (r.height, r.width) == (3, 5)
-
-
-class TestCropAndResize:
-    def test_identity_crop(self):
-        rng = np.random.default_rng(3)
-        image = Raster(rng.uniform(0, 1, size=(8, 6, 3)))
-        out = crop_and_resize(image, BBox(0, 0, 6, 8), 6, 8)
-        assert np.array_equal(out.data, image.data)
-
-    def test_constant_image_stays_constant(self):
-        image = Raster(np.full((5, 5, 3), 0.25))
-        out = crop_and_resize(image, BBox(1.3, 0.7, 2.9, 3.1), 7, 4)
-        assert np.allclose(out.data, 0.25, atol=1e-12)
-
-    def test_checkerboard_center(self):
-        # 2x2 checkerboard resampled to 3x3: the center pixel sits exactly
-        # between all four sources, so bilinear blending gives 0.5.
-        image = gray([[0.0, 1.0], [1.0, 0.0]])
-        out = crop_and_resize(image, BBox(0, 0, 2, 2), 3, 3)
-        expected = np.array(
-            [
-                [0.0, 0.5, 1.0],
-                [0.5, 0.5, 0.5],
-                [1.0, 0.5, 0.0],
-            ]
-        )
-        assert np.allclose(out.data[:, :, 0], expected, atol=1e-12)
-        assert np.allclose(out.data[:, :, 1], expected, atol=1e-12)
-
-    def test_overhang_replicates_edge(self):
-        rng = np.random.default_rng(5)
-        image = Raster(rng.uniform(0, 1, size=(4, 4, 3)))
-        # Box extends 2 px left of the image: sample xs land at -2,-1,0,1
-        # and clamp to column 0, so the first three output columns agree.
-        out = crop_and_resize(image, BBox(-2, 0, 4, 4), 4, 4)
-        assert np.array_equal(out.data[:, 0], out.data[:, 1])
-        assert np.array_equal(out.data[:, 1], out.data[:, 2])
-        assert np.array_equal(out.data[:, 2], image.data[:, 0])
-        assert np.array_equal(out.data[:, 3], image.data[:, 1])
-
-    def test_empty_crop_rejected(self):
-        image = gray(np.zeros((4, 4)))
-        with pytest.raises(ValueError, match="empty crop"):
-            crop_and_resize(image, BBox(10, 0, 3, 3), 2, 2)
-        with pytest.raises(ValueError, match="empty crop"):
-            crop_and_resize(image, BBox(-5, -5, 5, 5), 2, 2)
-
-    def test_bad_output_size_rejected(self):
-        image = gray(np.zeros((4, 4)))
-        with pytest.raises(ValueError):
-            crop_and_resize(image, BBox(0, 0, 2, 2), 0, 2)
-
-    def test_translation_invariance(self):
-        # Embedding the image at an integer offset and shifting the box by
-        # the same offset shifts every sample point identically.
-        rng = np.random.default_rng(9)
-        small = rng.uniform(0, 1, size=(6, 6, 3))
-        canvas = np.zeros((12, 12, 3))
-        dx, dy = 3, 2
-        canvas[dy : dy + 6, dx : dx + 6] = small
-        box = BBox(1.2, 1.4, 3.1, 2.7)
-        out_small = crop_and_resize(Raster(small), box, 5, 5)
-        shifted = BBox(box.u + dx, box.v + dy, box.w, box.h)
-        out_canvas = crop_and_resize(Raster(canvas), shifted, 5, 5)
-        assert np.allclose(out_small.data, out_canvas.data, atol=1e-12)
-
-    def test_output_stays_in_range(self):
-        rng = np.random.default_rng(13)
-        image = Raster(rng.uniform(0, 1, size=(9, 7, 3)))
-        for _ in range(50):
-            box = BBox(rng.uniform(-2, 5), rng.uniform(-2, 7), rng.uniform(2.5, 8), rng.uniform(2.5, 8))
-            out = crop_and_resize(image, box, 5, 3)
-            assert out.data.min() >= 0.0
-            assert out.data.max() <= 1.0
