@@ -47,9 +47,12 @@ def hungarian(cost: np.ndarray) -> Assignment:
     pairs are produced and the surplus rows or columns are reported
     unmatched.  The total cost is optimal and the result is
     deterministic: the same matrix always yields the same pairs.  A
-    matrix with more rows than columns is solved transposed, so which of
-    several equally cheap optima wins follows the scan order of the
-    shorter axis.
+    matrix with more rows than columns is solved transposed.  Among
+    several equally cheap optima, the one found is the one the shorter
+    axis reaches in scan order: first each of its lines, in ascending
+    order, keeps its first cheapest entry if no earlier line took it;
+    then the remaining lines are inserted by augmenting paths, in
+    ascending order, scanning entries ascending with strict improvement.
 
     Args:
         cost: (rows, cols) matrix of finite costs.
@@ -70,9 +73,9 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("invalid cost: non-finite entry")
     rows, cols = c.shape
     if rows <= cols:
-        pairs = list(enumerate(_solve(c.tolist(), rows, cols)))
+        pairs = list(enumerate(_solve(c)))
     else:
-        pairs = sorted((i, j) for j, i in enumerate(_solve(c.T.tolist(), cols, rows)))
+        pairs = sorted((i, j) for j, i in enumerate(_solve(c.T)))
     matched_rows = {i for i, _ in pairs}
     matched_cols = {j for _, j in pairs}
     return Assignment(
@@ -82,18 +85,36 @@ def hungarian(cost: np.ndarray) -> Assignment:
     )
 
 
-def _solve(cost: list[list[float]], n: int, m: int) -> list[int]:
-    """Exact O(n^2 m) solver for n <= m; returns the column chosen for each row.
+def _solve(cost: np.ndarray) -> list[int]:
+    """Exact O(n^2 m) solver for an (n, m) matrix with n <= m; returns the
+    column chosen for each row.
 
-    Shortest augmenting path formulation with row/column potentials.
-    Rows are inserted in ascending order and column scans run ascending
-    with strict improvement, which fixes the tie-breaking order.
+    Shortest augmenting path with row/column potentials, warm-started by
+    the reduction step of Jonker & Volgenant (1987) applied to rows.
+    Each row's potential starts at its minimum cost and every column's
+    at 0, so the duals are feasible.  In ascending row order, a row
+    takes its first cheapest column if that column is still free; such
+    an edge is tight.  Only the rows whose cheapest column was taken
+    then go through the augmenting loop, in ascending order, with column
+    scans ascending and strict improvement.  That loop lowers a column's
+    potential only while the column is in a search tree, and every tree
+    column ends up matched, so free columns keep potential 0 and the
+    result is optimal for the rectangular problem.
     """
-    u = [0.0] * (n + 1)
+    n, m = cost.shape
+    best = cost.argmin(axis=1).tolist()
+    u = [0.0] + cost[np.arange(n), best].tolist()
     v = [0.0] * (m + 1)
     match = [0] * (m + 1)  # match[j] = row owning column j, 1-based, 0 = free
+    pending = []
+    for i, j in enumerate(best, start=1):
+        if match[j + 1]:
+            pending.append(i)
+        else:
+            match[j + 1] = i
+    rows = cost.tolist() if pending else []
     parent = [0] * (m + 1)
-    for i in range(1, n + 1):
+    for i in pending:
         match[0] = i
         j0 = 0
         minv = [math.inf] * (m + 1)
@@ -101,7 +122,7 @@ def _solve(cost: list[list[float]], n: int, m: int) -> list[int]:
         while True:
             used[j0] = True
             i0 = match[j0]
-            row = cost[i0 - 1]
+            row = rows[i0 - 1]
             delta = math.inf
             j1 = -1
             for j in range(1, m + 1):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -29,9 +30,14 @@ def normalize(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"embedding must be a non-empty 1-d vector, got shape {v.shape}")
-    if not np.all(np.isfinite(v)):
+    # One pass: np.linalg.norm of a 1-d float vector is exactly
+    # sqrt(x.x) with x = v.ravel("K"), and a nan or inf entry makes x.x
+    # non-finite, so the entry scan runs only then.
+    x = v.ravel(order="K")
+    sq = float(x.dot(x))
+    if not math.isfinite(sq) and not np.all(np.isfinite(v)):
         raise ValueError("non-finite embedding value")
-    norm = float(np.linalg.norm(v))
+    norm = math.sqrt(sq)
     if norm == 0.0:
         raise ValueError("cannot normalize a zero vector")
     if abs(norm - 1.0) <= _UNIT_TOL:

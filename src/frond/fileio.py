@@ -183,7 +183,11 @@ def write_gt(annotations: Iterable[GtAnnotation], path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_results(path) -> list[TrackedBox]:
-    """Read a tracker results file into evaluation rows."""
+    """Read a tracker results file into evaluation rows.
+
+    The seventh (confidence) column must be a finite float and is then
+    ignored; `write_results` always writes it as `1.0`.
+    """
     rows = []
     seen = set()
     for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 7):
@@ -225,7 +229,11 @@ def read_truth_map(path) -> dict[tuple[int, int], int]:
     for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 3):
         frame = _parse_int(fields[0], path, lineno, "frame")
         det_index = _parse_int(fields[1], path, lineno, "detection index")
+        if det_index < 0:
+            raise ValueError(f"{path}:{lineno}: detection indices start at 0, got {det_index}")
         leaf_id = _parse_int(fields[2], path, lineno, "leaf id")
+        if leaf_id < 1:
+            raise ValueError(f"{path}:{lineno}: leaf ids start at 1, got {leaf_id}")
         if (frame, det_index) in out:
             raise ValueError(f"{path}:{lineno}: duplicate (frame, det_index)")
         out[(frame, det_index)] = leaf_id

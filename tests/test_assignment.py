@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frond import Assignment, cost_from_similarity, gate_assignment, hungarian, similarity_matrix
 
@@ -10,6 +12,16 @@ from oracles import min_assignment_total
 
 def total_cost(cost, pairs) -> float:
     return float(sum(cost[i, j] for i, j in pairs))
+
+
+@st.composite
+def cost_matrices(draw):
+    """Shapes 1-6 x 1-6, with either tie-heavy integer costs 0-3 or float costs in [-5, 5]."""
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 6))
+    cell = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(-5.0, 5.0)]))
+    values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 class TestCostFromSimilarity:
@@ -133,6 +145,36 @@ class TestHungarian:
             perm = rng.permutation(5)
             permuted_pairs = {(int(perm[i]), j) for i, j in hungarian(cost[perm]).pairs}
             assert permuted_pairs == base_pairs
+
+    @settings(max_examples=300, deadline=None)
+    @given(cost_matrices())
+    def test_property_optimal_one_to_one_deterministic(self, cost):
+        result = hungarian(cost)
+        rows = [i for i, _ in result.pairs]
+        cols = [j for _, j in result.pairs]
+        assert len(result.pairs) == min(cost.shape)
+        assert len(set(rows)) == len(rows)
+        assert len(set(cols)) == len(cols)
+        assert total_cost(cost, result.pairs) == pytest.approx(
+            min_assignment_total(cost), abs=1e-9
+        )
+        assert hungarian(cost).pairs == result.pairs
+
+    def test_every_row_prefers_column_zero(self):
+        # Only row 0 keeps its cheapest column at first; rows 1 and 2
+        # need augmenting paths, and the optimum moves row 0 off column 0.
+        cost = np.array([[1.0, 2.0, 9.0], [0.0, 5.0, 3.0], [0.0, 4.0, 9.0]])
+        result = hungarian(cost)
+        assert result.pairs == [(0, 1), (1, 2), (2, 0)]
+        assert total_cost(cost, result.pairs) == 5.0
+
+    def test_distinct_row_minima_are_optimal(self):
+        # Every row's cheapest column is different, so the row minima are
+        # already an optimal assignment.
+        cost = np.array([[4.0, 1.0, 7.0], [2.0, 8.0, 3.0], [6.0, 5.0, 0.0]])
+        result = hungarian(cost)
+        assert result.pairs == [(0, 1), (1, 0), (2, 2)]
+        assert total_cost(cost, result.pairs) == 3.0
 
     def test_negative_costs(self):
         rng = np.random.default_rng(41)

@@ -30,6 +30,25 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_message(self, bad):
+        with pytest.raises(ValueError, match="^non-finite embedding value$"):
+            normalize(np.array([0.5, bad, 2.0]))
+
+    @pytest.mark.parametrize("scale", [1e-3, 1e-2, 1e-1, 1.0, 1e1, 1e2, 1e3])
+    def test_bitwise_equal_to_division_by_norm(self, scale):
+        rng = np.random.default_rng(7)
+        for _ in range(50):
+            block = rng.normal(size=(int(rng.integers(1, 200)), 2)) * scale
+            # Contiguous, strided and reversed views of the same data.
+            for v in (block[:, 0].copy(), block[:, 1], block[::-1, 0]):
+                assert np.array_equal(normalize(v), v / np.linalg.norm(v))
+
+    def test_finite_overflowing_vector_matches_norm(self):
+        v = np.array([1e200, 1e200])
+        with np.errstate(over="ignore"):
+            assert np.array_equal(normalize(v), v / np.linalg.norm(v))
+
     def test_idempotent_bitwise(self):
         rng = np.random.default_rng(3)
         for _ in range(100):

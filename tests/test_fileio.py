@@ -274,6 +274,11 @@ class TestResultsFile:
         write_results([TrackedBox(1, 1, BBox(0, 0, 5, 5))], path)
         assert path.read_text() == "1,1,0.0,0.0,5.0,5.0,1.0\n"
 
+    def test_confidence_column_is_ignored_on_read(self, tmp_path):
+        path = tmp_path / "res.txt"
+        path.write_text("1,1,0.0,0.0,5.0,5.0,-7.5\n")
+        assert read_results(path) == [TrackedBox(1, 1, BBox(0.0, 0.0, 5.0, 5.0))]
+
     def test_accepts_frame_results(self, tmp_path):
         e = np.zeros(4)
         e[0] = 1.0
@@ -354,6 +359,12 @@ class TestTruthMapFile:
             ("1,b,1\n", 1, "malformed detection index: 'b'"),
             ("1,0,c\n", 1, "malformed leaf id: 'c'"),
             ("1,0,3\n1,0,4\n", 2, "duplicate (frame, det_index)"),
+            ("1,-1,3\n", 1, "detection indices start at 0, got -1"),
+            ("1,0,0\n", 1, "leaf ids start at 1, got 0"),
+            ("1,0,3\n1,1,-7\n", 2, "leaf ids start at 1, got -7"),
+            ("1,-1,-7\n", 1, "detection indices start at 0, got -1"),
+            ("1,-1,c\n", 1, "detection indices start at 0, got -1"),
+            ("1,0,3\n1,0,-7\n", 2, "leaf ids start at 1, got -7"),
         ],
     )
     def test_error_message_is_exact(self, tmp_path, text, lineno, message):
