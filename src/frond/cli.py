@@ -6,6 +6,14 @@ flags, bad combinations, missing input files).
 
 from __future__ import annotations
 
+import os
+
+# Pin BLAS to one thread before the imports below load numpy: the largest
+# matrix the CLI builds is about 160 x 150, so extra BLAS threads only spin.
+# A value the caller exported wins.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
 import argparse
 import sys
 from collections import defaultdict

@@ -23,36 +23,61 @@ from .simulator import ScenarioConfig
 from .tracker import Detection, FrameResult, TrackedBox, TrackerParams, tracked_boxes
 
 _HEADER_RE = re.compile(r"#dim=(\d+)$")
-_BOX_NAMES = ("x", "y", "w", "h")
+_GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
+_RESULT_FIELDS = ("frame", "track id", "x", "y", "w", "h", "confidence")
+_TRUTH_MAP_FIELDS = ("frame", "detection index", "leaf id")
+_TRIPLET_FIELDS = ("triplet field",) * 7
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
+def _malformed(token: str, path, lineno: int, what: str) -> ValueError:
+    return ValueError(f"{path}:{lineno}: malformed {what}: {token!r}")
+
+
 def _parse_int(token: str, path, lineno: int, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: malformed {what}: {token!r}") from None
+        raise _malformed(token, path, lineno, what) from None
 
 
 def _parse_float(token: str, path, lineno: int, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise ValueError(f"{path}:{lineno}: malformed {what}: {token!r}") from None
+        raise _malformed(token, path, lineno, what) from None
     if not math.isfinite(value):
         raise ValueError(f"{path}:{lineno}: non-finite {what}: {token!r}")
     return value
 
 
-def _rows(path, lines: list[str], n_fields: int, first_lineno: int = 1):
-    """Yield (lineno, fields) for each comma-separated line, checking the field count."""
+def _strict(text: str) -> bool:
+    """False if text holds what int() and float() forgive but frond never writes.
+
+    That is a digit separator `_`, a space or tab, or any non-ASCII character
+    (Unicode spaces and digits).  Lines come from splitlines(), so no other
+    ASCII whitespace can occur.
+    """
+    return text.isascii() and "_" not in text and " " not in text and "\t" not in text
+
+
+def _rows(path, lines: list[str], names: tuple[str, ...], first_lineno: int = 1):
+    """Yield (lineno, fields) for each comma-separated line.
+
+    A line must have one field per name, and no field may hold what
+    _strict rejects; the first such field is reported as malformed.  The
+    strict check runs once per line, not per field.
+    """
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ValueError(f"{path}:{lineno}: expected {n_fields} fields, got {len(fields)}")
+        if len(fields) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
+        if not _strict(line):
+            token, what = next((t, w) for t, w in zip(fields, names) if not _strict(t))
+            raise _malformed(token, path, lineno, what)
         yield lineno, fields
 
 
@@ -106,10 +131,11 @@ def read_detections(path) -> dict[int, list[Detection]]:
     dim = int(header.group(1))
     if dim < 1:
         raise ValueError(f"{path}:1: embedding dimension must be at least 1")
-    float_names = _BOX_NAMES + ("confidence",) + ("embedding component",) * dim
+    names = _RESULT_FIELDS + ("embedding component",) * dim
+    float_names = names[2:]
     frames: dict[int, list[Detection]] = {}
     last_frame = 1
-    for lineno, fields in _rows(path, lines[1:], 7 + dim, first_lineno=2):
+    for lineno, fields in _rows(path, lines[1:], names, first_lineno=2):
         frame = _frame(fields[0], path, lineno)
         if frame < last_frame:
             raise ValueError(f"{path}:{lineno}: frames must be non-decreasing")
@@ -155,13 +181,13 @@ def read_gt(path) -> list[GtAnnotation]:
     """Read ground-truth annotations; (frame, leaf_id) must be unique."""
     rows = []
     seen = set()
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 6):
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _GT_FIELDS):
         frame = _frame(fields[0], path, lineno)
         leaf_id = _parse_int(fields[1], path, lineno, "leaf id")
         if (frame, leaf_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate (frame, leaf_id) = ({frame}, {leaf_id})")
         seen.add((frame, leaf_id))
-        box = _floats(fields[2:], _BOX_NAMES, path, lineno)
+        box = _floats(fields[2:], _GT_FIELDS[2:], path, lineno)
         try:
             rows.append(GtAnnotation(frame, leaf_id, BBox(*box)))
         except ValueError as err:
@@ -190,7 +216,7 @@ def read_results(path) -> list[TrackedBox]:
     """
     rows = []
     seen = set()
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 7):
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _RESULT_FIELDS):
         frame = _frame(fields[0], path, lineno)
         track_id = _parse_int(fields[1], path, lineno, "track id")
         if track_id < 1:
@@ -198,7 +224,7 @@ def read_results(path) -> list[TrackedBox]:
         if (frame, track_id) in seen:
             raise ValueError(f"{path}:{lineno}: duplicate (frame, track_id) = ({frame}, {track_id})")
         seen.add((frame, track_id))
-        values = _floats(fields[2:], _BOX_NAMES + ("confidence",), path, lineno)
+        values = _floats(fields[2:], _RESULT_FIELDS[2:], path, lineno)
         try:
             rows.append(TrackedBox(frame, track_id, BBox(*values[:4])))
         except ValueError as err:
@@ -224,10 +250,12 @@ def write_results(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_truth_map(path) -> dict[tuple[int, int], int]:
-    """Read a (frame, det_index) -> leaf_id map; frame 0 is accepted here."""
+    """Read a (frame, det_index) -> leaf_id map; frames must be non-negative, so frame 0 reads."""
     out: dict[tuple[int, int], int] = {}
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 3):
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _TRUTH_MAP_FIELDS):
         frame = _parse_int(fields[0], path, lineno, "frame")
+        if frame < 0:
+            raise ValueError(f"{path}:{lineno}: frame indices must be non-negative, got {frame}")
         det_index = _parse_int(fields[1], path, lineno, "detection index")
         if det_index < 0:
             raise ValueError(f"{path}:{lineno}: detection indices start at 0, got {det_index}")
@@ -254,7 +282,7 @@ def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
 
 def read_triplets(path) -> list[TripletSpec]:
     rows = []
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), 7):
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _TRIPLET_FIELDS):
         plant, leaf, t_a, t_p, neg_plant, neg_leaf, t_n = (
             _parse_int(token, path, lineno, "triplet field") for token in fields
         )

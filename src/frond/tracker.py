@@ -108,20 +108,6 @@ class TrackedBox:
     box: BBox
 
 
-def init_bank(detections: list[Detection], params: TrackerParams, frame: int = 1):
-    """Create a bank from the first frame's detections.
-
-    Detections below conf_min are dropped; the rest become tracks with
-    ids 1..k in detection order.
-
-    Returns:
-        (bank, frame_result)
-    """
-    bank = MemoryBank()
-    result = step(bank, detections, params, frame)
-    return bank, result
-
-
 def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int) -> FrameResult:
     """Advance the bank by one frame, in place.
 

@@ -184,9 +184,18 @@ class TestDetectionsFile:
             ("1,-1,0.0,0.0,0.0,5.0,0.9,1.0,0.0",
              "box extent must be positive, got w=0.0, h=5.0"),
             ("1,-1,0.0,0.0,5.0,5.0,1.4,1.0,0.0", "confidence must lie in [0, 1], got 1.4"),
+            # int() and float() forgive digit separators, padding and
+            # non-ASCII digits; the columns do not.
+            ("1_0,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: '1_0'"),
+            (" 1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: ' 1'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1_0.0,0.0", "malformed embedding component: '1_0.0'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\t", "malformed embedding component: '0.0\\t'"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,\u0661", "malformed embedding component: '\u0661'"),
             # Two defects on one line: the earlier check wins.
             ("0,raw,zero,0.0,5.0,5.0,0.9,1.0,0.0", "frame indices start at 1, got 0"),
             ("1,-1,0.0,0.0,-5.0,5.0,nan,1.0,0.0", "non-finite confidence: 'nan'"),
+            # A separator or padding is found before any other field check.
+            ("0,raw,0.0,0.0,5.0,5.0,0.9,1.0,1 ", "malformed embedding component: '1 '"),
         ],
     )
     def test_error_message_is_exact(self, tmp_path, row, message):
@@ -245,12 +254,20 @@ class TestGtFile:
             ("1,1,0.0,0.0,0.0,5.0\n", 1, "box extent must be positive, got w=0.0, h=5.0"),
             ("1,1,0.0,0.0,5.0,-1.0\n", 1, "box extent must be positive, got w=5.0, h=-1.0"),
             ("1,0,0.0,0.0,5.0,5.0\n", 1, "leaf ids start at 1, got 0"),
+            ("1_0,1,0.0,0.0,5.0,5.0\n", 1, "malformed frame: '1_0'"),
+            (" 2,1,0.0,0.0,5.0,5.0\n", 1, "malformed frame: ' 2'"),
+            ("1,1 ,0.0,0.0,5.0,5.0\n", 1, "malformed leaf id: '1 '"),
+            ("1,1,0.0,0.0,5.0,5.0\n1,2,0.0,1_0.0,5.0,5.0\n", 2, "malformed y: '1_0.0'"),
+            ("1,1,0.0,0.0,5.0,\t5.0\n", 1, "malformed h: '\\t5.0'"),
+            ("1,1,0.0,0.0,5.0,5.0\u00a0\n", 1, "malformed h: '5.0\\xa0'"),
             # Two defects on one line: the earlier check wins.
             ("0,leaf,0.0,0.0,5.0,5.0\n", 1, "frame indices start at 1, got 0"),
             ("1,1,0.0,0.0,5.0,5.0\n1,1,zero,0.0,5.0,5.0\n", 2,
              "duplicate (frame, leaf_id) = (1, 1)"),
             ("1,1,-inf,zero,5.0,5.0\n", 1, "non-finite x: '-inf'"),
             ("1,0,0.0,0.0,0.0,5.0\n", 1, "box extent must be positive, got w=0.0, h=5.0"),
+            ("0,leaf,0.0,0.0,5.0, 5.0\n", 1, "malformed h: ' 5.0'"),
+            ("1 1,0.0,0.0,5.0,5.0\n", 1, "expected 6 fields, got 5"),
         ],
     )
     def test_error_message_is_exact(self, tmp_path, text, lineno, message):
@@ -325,6 +342,10 @@ class TestResultsFile:
             ("1,1,0.0,0.0,5.0,5.0,high\n", 1, "malformed confidence: 'high'"),
             ("1,1,0.0,0.0,5.0,5.0,nan\n", 1, "non-finite confidence: 'nan'"),
             ("1,1,0.0,0.0,5.0,0.0,1.0\n", 1, "box extent must be positive, got w=5.0, h=0.0"),
+            ("1,1_0,0.0,0.0,5.0,5.0,1.0\n", 1, "malformed track id: '1_0'"),
+            ("1, 1,0.0,0.0,5.0,5.0,1.0\n", 1, "malformed track id: ' 1'"),
+            ("1,1,0.0,0.0,5.0,5.0,1.0 \n", 1, "malformed confidence: '1.0 '"),
+            ("1,1,0.0,0.0,5.0,5.0,1_0.0\n", 1, "malformed confidence: '1_0.0'"),
             # Two defects on one line: the earlier check wins, and every
             # float, confidence included, is checked before the box.
             ("1,0,zero,0.0,5.0,5.0,1.0\n", 1, "track ids start at 1, got 0"),
@@ -365,6 +386,12 @@ class TestTruthMapFile:
             ("1,-1,-7\n", 1, "detection indices start at 0, got -1"),
             ("1,-1,c\n", 1, "detection indices start at 0, got -1"),
             ("1,0,3\n1,0,-7\n", 2, "leaf ids start at 1, got -7"),
+            ("-3,0,2\n", 1, "frame indices must be non-negative, got -3"),
+            ("0,0,3\n-1,b,c\n", 2, "frame indices must be non-negative, got -1"),
+            ("1_0,0,2\n", 1, "malformed frame: '1_0'"),
+            ("1,0,3\n1,\t1,2\n", 2, "malformed detection index: '\\t1'"),
+            ("1,0,2 \n", 1, "malformed leaf id: '2 '"),
+            ("1,0,\u0662\n", 1, "malformed leaf id: '\u0662'"),
         ],
     )
     def test_error_message_is_exact(self, tmp_path, text, lineno, message):
@@ -414,6 +441,9 @@ class TestTripletsFile:
             ("0,2,5,9,1,4\n", 1, "expected 7 fields, got 6"),
             ("0,2,5,9,1,4,5\n0,2,5,9,1,4,5,6\n", 2, "expected 7 fields, got 8"),
             ("0,2,5,x,1,4,5\n", 1, "malformed triplet field: 'x'"),
+            ("0,2,5,9,1,4,1_5\n", 1, "malformed triplet field: '1_5'"),
+            ("0,2,5,9,1,4,5\n0, 2,5,9,1,4,5\n", 2, "malformed triplet field: ' 2'"),
+            ("0,2,5,9\t,1,4,5\n", 1, "malformed triplet field: '9\\t'"),
             ("0,2,5,5,1,4,5\n", 1, "positive must come from a different time than the anchor"),
             ("0,2,5,9,0,2,3\n", 1, "negative must show a different leaf than the anchor"),
         ],

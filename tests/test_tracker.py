@@ -8,7 +8,6 @@ from frond import (
     Detection,
     MemoryBank,
     TrackerParams,
-    init_bank,
     run_sequence,
     step,
     tracked_boxes,
@@ -68,31 +67,36 @@ class TestDetection:
 class TestInitBank:
     def test_confidence_filter(self):
         params = TrackerParams()
-        bank, result = init_bank([det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params)
+        bank = MemoryBank()
+        result = step(bank, [det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params, 1)
         assert bank.track_ids() == [1]
         assert result.new_track_ids == [1]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
 
     def test_exact_threshold_kept(self):
-        bank, _ = init_bank([det(axis(4, 0), conf=0.5)], TrackerParams())
+        bank = MemoryBank()
+        step(bank, [det(axis(4, 0), conf=0.5)], TrackerParams(), 1)
         assert bank.track_ids() == [1]
 
     def test_ids_follow_detection_order(self):
         dets = [det(axis(8, k), u=20.0 * k) for k in range(5)]
-        bank, result = init_bank(dets, TrackerParams())
+        bank = MemoryBank()
+        result = step(bank, dets, TrackerParams(), 1)
         assert bank.track_ids() == [1, 2, 3, 4, 5]
         assert result.new_track_ids == [1, 2, 3, 4, 5]
         assert [j for _, j, _ in result.assignments] == [0, 1, 2, 3, 4]
 
     def test_prototypes_are_the_embeddings(self):
         dets = [det([3.0, 4.0])]
-        bank, _ = init_bank(dets, TrackerParams())
+        bank = MemoryBank()
+        step(bank, dets, TrackerParams(), 1)
         assert bank.tracks[0].prototype == pytest.approx([0.6, 0.8], abs=1e-12)
         assert bank.tracks[0].age == 0
         assert bank.tracks[0].born_at == 1
 
     def test_disable_with_high_conf_min(self):
-        bank, result = init_bank([det(axis(4, 0))], TrackerParams(conf_min=1.1))
+        bank = MemoryBank()
+        result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
         assert bank.track_ids() == []
         assert result.assignments == []
 
@@ -101,7 +105,8 @@ class TestStep:
     def test_identical_embedding_is_fixed_point(self):
         params = TrackerParams()
         e = np.array([3.0, 4.0])
-        bank, _ = init_bank([det(e)], params)
+        bank = MemoryBank()
+        step(bank, [det(e)], params, 1)
         before = bank.tracks[0].prototype.copy()
         result = step(bank, [det(e)], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
@@ -112,27 +117,31 @@ class TestStep:
         # alpha=0.5 blend of (1,0) and (0,1) is (0.5, 0.5); stored
         # prototype is its unit version (sqrt(1/2), sqrt(1/2)).
         params = TrackerParams(tau_s=-1.0)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [det(axis(2, 1))], params, frame=2)
         assert bank.tracks[0].prototype == pytest.approx([0.707107, 0.707107], abs=1e-6)
         assert abs(np.linalg.norm(bank.tracks[0].prototype) - 1.0) <= 1e-9
 
     def test_alpha_one_freezes_prototype(self):
         params = TrackerParams(alpha=1.0, tau_s=-1.0)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         before = bank.tracks[0].prototype.copy()
         step(bank, [det([0.6, 0.8])], params, frame=2)
         assert np.array_equal(bank.tracks[0].prototype, before)
 
     def test_alpha_zero_takes_latest_embedding(self):
         params = TrackerParams(alpha=0.0, tau_s=-1.0)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [det([0.6, 0.8])], params, frame=2)
         assert np.array_equal(bank.tracks[0].prototype, np.array([0.6, 0.8]))
 
     def test_mean_mode_uses_uniform_history(self):
         params = TrackerParams(tau_s=-1.0, ema_mode="mean")
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [det(axis(2, 0))], params, frame=2)
         step(bank, [det(axis(2, 1))], params, frame=3)
         # History (1,0), (1,0), (0,1): normalized mean is (2,1)/sqrt(5).
@@ -141,7 +150,8 @@ class TestStep:
 
     def test_gated_detection_founds_new_track(self):
         params = TrackerParams()
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         # Similarity to the prototype is 0.2, below tau_s = 0.4.
         far = det([0.2, np.sqrt(1.0 - 0.04)])
         result = step(bank, [far], params, frame=2)
@@ -152,7 +162,8 @@ class TestStep:
 
     def test_age_increments_and_prunes_after_tau_a(self):
         params = TrackerParams(tau_a=5)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         for empty_frame in range(2, 7):
             result = step(bank, [], params, frame=empty_frame)
             assert result.pruned_track_ids == []
@@ -164,7 +175,8 @@ class TestStep:
     def test_reappearance_within_tau_a_keeps_id(self):
         params = TrackerParams(tau_a=5)
         e = axis(4, 0)
-        bank, _ = init_bank([det(e)], params)
+        bank = MemoryBank()
+        step(bank, [det(e)], params, 1)
         for f in range(2, 7):
             step(bank, [], params, frame=f)
         result = step(bank, [det(e)], params, frame=7)
@@ -174,13 +186,15 @@ class TestStep:
 
     def test_tau_a_zero_prunes_on_first_miss(self):
         params = TrackerParams(tau_a=0)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         result = step(bank, [], params, frame=2)
         assert result.pruned_track_ids == [1]
 
     def test_ids_never_reused(self):
         params = TrackerParams(tau_a=0)
-        bank, _ = init_bank([det(axis(2, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [], params, frame=2)
         result = step(bank, [det(axis(2, 1))], params, frame=3)
         assert result.new_track_ids == [2]
@@ -188,7 +202,8 @@ class TestStep:
 
     def test_dimension_mismatch_rejected(self):
         params = TrackerParams()
-        bank, _ = init_bank([det(axis(4, 0))], params)
+        bank = MemoryBank()
+        step(bank, [det(axis(4, 0))], params, 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
             step(bank, [det(axis(8, 0))], params, frame=2)
 
@@ -213,8 +228,10 @@ class TestStep:
     def test_matching_ignores_detection_order(self):
         params = TrackerParams(tau_s=-1.0)
         e1, e2, e3 = axis(8, 0), axis(8, 1), axis(8, 2)
-        bank_a, _ = init_bank([det(e1), det(e2), det(e3)], params)
-        bank_b, _ = init_bank([det(e1), det(e2), det(e3)], params)
+        bank_a = MemoryBank()
+        step(bank_a, [det(e1), det(e2), det(e3)], params, 1)
+        bank_b = MemoryBank()
+        step(bank_b, [det(e1), det(e2), det(e3)], params, 1)
         forward = step(bank_a, [det(e1, u=1.0), det(e2, u=2.0), det(e3, u=3.0)], params, 2)
         reversed_ = step(bank_b, [det(e3, u=3.0), det(e2, u=2.0), det(e1, u=1.0)], params, 2)
         by_track_fwd = {tid: box.u for tid, _, box in forward.assignments}
