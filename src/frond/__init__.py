@@ -17,7 +17,6 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "assignment": (
         "Assignment",
-        "cost_from_similarity",
         "gate_assignment",
         "hungarian",
         "similarity_matrix",
@@ -29,7 +28,6 @@ _EXPORTS = {
         "CropRef",
         "SamplingStrategy",
         "TripletSpec",
-        "cosine_similarity",
         "normalize",
         "sample_triplets",
         "triplet_margin_loss",
@@ -49,7 +47,7 @@ _EXPORTS = {
         "write_triplets",
         "write_truth_map",
     ),
-    "geometry": ("BBox", "iou", "iou_matrix"),
+    "geometry": ("BBox", "iou_matrix"),
     "metrics": (
         "CELL_ABSENT",
         "CELL_CORRECT",
@@ -62,19 +60,14 @@ _EXPORTS = {
         "daily_accuracy",
         "det_a",
         "evaluate",
-        "evaluate_sequences",
         "format_report",
         "format_report_machine",
-        "hota",
         "id_switches",
-        "idf1",
         "leaf_accuracy_matrix",
         "match_frames",
-        "merge_match_tables",
-        "mota",
         "report_from_table",
     ),
-    "simulator": ("LeafModel", "ScenarioConfig", "baseline_iou_tracker", "generate", "logistic_area"),
+    "simulator": ("ScenarioConfig", "baseline_iou_tracker", "generate", "logistic_area"),
     "tracker": (
         "Detection",
         "FrameResult",

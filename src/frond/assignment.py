@@ -1,4 +1,4 @@
-"""Cost construction, optimal assignment, and similarity gating."""
+"""Similarity, optimal assignment, and similarity gating."""
 
 from __future__ import annotations
 
@@ -30,14 +30,6 @@ def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray) -> np.ndar
     if p.shape[1] != e.shape[1]:
         raise ValueError(f"dimension mismatch: {p.shape[1]} vs {e.shape[1]}")
     return p @ e.T
-
-
-def cost_from_similarity(similarity: np.ndarray) -> np.ndarray:
-    """Turn similarities into assignment costs via cost = 1 - similarity."""
-    s = np.asarray(similarity, dtype=np.float64)
-    if not np.all(np.isfinite(s)):
-        raise ValueError("invalid cost: non-finite similarity entry")
-    return 1.0 - s
 
 
 def hungarian(cost: np.ndarray) -> Assignment:

@@ -1,4 +1,4 @@
-"""Unit-norm appearance embeddings: similarity, triplet loss, triplet sampling."""
+"""Unit-norm appearance embeddings: normalization, triplet loss, triplet sampling."""
 
 from __future__ import annotations
 
@@ -43,15 +43,6 @@ def normalize(values) -> np.ndarray:
     if abs(norm - 1.0) <= _UNIT_TOL:
         return v.copy()
     return v / norm
-
-
-def cosine_similarity(a, b) -> float:
-    """Dot product of two unit-norm vectors of equal dimension."""
-    va = np.asarray(a, dtype=np.float64)
-    vb = np.asarray(b, dtype=np.float64)
-    if va.shape != vb.shape:
-        raise ValueError(f"dimension mismatch: {va.shape} vs {vb.shape}")
-    return float(va @ vb)
 
 
 def triplet_margin_loss(anchor, positive, negative, margin: float = 0.3):

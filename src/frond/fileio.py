@@ -329,10 +329,13 @@ def _read_kv(path) -> dict[str, str]:
 
 
 def _cast(kind, raw: str, key: str, path):
+    """raw converted by kind; a value that _strict rejects is malformed too."""
     try:
-        return kind(raw)
+        if _strict(raw):
+            return kind(raw)
     except ValueError:
-        raise ValueError(f"{path}: malformed value for {key}: {raw!r}") from None
+        pass
+    raise ValueError(f"{path}: malformed value for {key}: {raw!r}")
 
 
 def read_tracker_params(path) -> TrackerParams:

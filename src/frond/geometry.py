@@ -30,29 +30,12 @@ class BBox:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
 
     @property
-    def area(self) -> float:
-        return self.w * self.h
-
-    @property
     def u2(self) -> float:
         return self.u + self.w
 
     @property
     def v2(self) -> float:
         return self.v + self.h
-
-    def center(self) -> tuple[float, float]:
-        return (self.u + self.w / 2.0, self.v + self.h / 2.0)
-
-
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union of two boxes in continuous coordinates."""
-    iw = min(a.u2, b.u2) - max(a.u, b.u)
-    ih = min(a.v2, b.v2) - max(a.v, b.v)
-    if iw <= 0.0 or ih <= 0.0:
-        return 0.0
-    inter = iw * ih
-    return inter / (a.area + b.area - inter)
 
 
 def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:

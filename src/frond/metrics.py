@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -234,11 +234,6 @@ def ass_a(table: MatchTable) -> float:
     return sum(ratios) / len(ratios)
 
 
-def hota(table: MatchTable) -> float:
-    """Geometric mean of detection and association accuracy."""
-    return math.sqrt(det_a(table) * ass_a(table))
-
-
 def id_switches(table: MatchTable) -> int:
     """Count TPs whose prediction id differs from the gt's most recent prior TP."""
     switches = 0
@@ -249,22 +244,6 @@ def id_switches(table: MatchTable) -> int:
                 switches += 1
             last_pred[gt_id] = pred_id
     return switches
-
-
-def mota(table: MatchTable) -> float:
-    """1 - (FN + FP + IDSW) / total gt detections; unclamped, may go negative.
-
-    Raises:
-        ValueError: on empty ground truth.
-    """
-    return _mota(table, id_switches(table))
-
-
-def _mota(table: MatchTable, idsw: int) -> float:
-    total_gt = table.tp + table.fn
-    if total_gt == 0:
-        raise ValueError("empty ground truth")
-    return 1.0 - (table.fn + table.fp + idsw) / total_gt
 
 
 def _idf1_counts(table: MatchTable):
@@ -293,18 +272,6 @@ def _idf1_counts(table: MatchTable):
     return idtp, total_pred - idtp, total_gt - idtp, bijection
 
 
-def idf1(table: MatchTable) -> float:
-    """Identity F1: 2*IDTP / (2*IDTP + IDFP + IDFN); 1.0 on fully empty input."""
-    idtp, idfp, idfn, _ = _idf1_counts(table)
-    return _idf1(idtp, idfp, idfn)
-
-
-def _idf1(idtp: int, idfp: int, idfn: int) -> float:
-    if idtp + idfp + idfn == 0:
-        return 1.0
-    return 2.0 * idtp / (2.0 * idtp + idfp + idfn)
-
-
 @dataclass(frozen=True)
 class MetricReport:
     """All five metrics plus the underlying counts for one evaluation."""
@@ -324,6 +291,14 @@ class MetricReport:
 
 
 def report_from_table(table: MatchTable) -> MetricReport:
+    """Every metric of one matched table; MOTA is unclamped and may go negative.
+
+    Raises:
+        ValueError: on empty ground truth, checked before any division.
+    """
+    total_gt = table.tp + table.fn
+    if total_gt == 0:
+        raise ValueError("empty ground truth")
     deta = det_a(table)
     assa = ass_a(table)
     idtp, idfp, idfn, _ = _idf1_counts(table)
@@ -332,8 +307,8 @@ def report_from_table(table: MatchTable) -> MetricReport:
         hota=math.sqrt(deta * assa),
         deta=deta,
         assa=assa,
-        mota=_mota(table, idsw),
-        idf1=_idf1(idtp, idfp, idfn),
+        mota=1.0 - (table.fn + table.fp + idsw) / total_gt,
+        idf1=2.0 * idtp / (2.0 * idtp + idfp + idfn),
         tp=table.tp,
         fp=table.fp,
         fn=table.fn,
@@ -351,39 +326,6 @@ def evaluate(
 ) -> MetricReport:
     """Match one sequence and compute every metric."""
     return report_from_table(match_frames(gt, pred, iou_threshold))
-
-
-def merge_match_tables(tables: Sequence[MatchTable]) -> MatchTable:
-    """Pool several sequences into one table for aggregate metrics.
-
-    Frame keys and identity labels are namespaced by sequence position,
-    so identical frame indices or ids in different sequences stay
-    distinct.  Counts pool; association terms average over the union of
-    steps.
-    """
-    frames = []
-    matches: dict = {}
-    misses: dict = {}
-    false_alarms: dict = {}
-    for seq_index, table in enumerate(tables):
-        for frame in table.frames:
-            key = (seq_index, frame)
-            frames.append(key)
-            matches[key] = [
-                ((seq_index, g), (seq_index, p), ov) for g, p, ov in table.matches[frame]
-            ]
-            misses[key] = [(seq_index, g) for g in table.misses[frame]]
-            false_alarms[key] = [(seq_index, p) for p in table.false_alarms[frame]]
-    return MatchTable(frames=frames, matches=matches, misses=misses, false_alarms=false_alarms)
-
-
-def evaluate_sequences(
-    pairs: Sequence[tuple[Iterable[GtAnnotation], Iterable[TrackedBox]]],
-    iou_threshold: float = 0.5,
-) -> MetricReport:
-    """Evaluate several (gt, pred) sequences pooled into one report."""
-    tables = [match_frames(gt, pred, iou_threshold) for gt, pred in pairs]
-    return report_from_table(merge_match_tables(tables))
 
 
 @dataclass

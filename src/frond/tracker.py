@@ -14,7 +14,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from .assignment import cost_from_similarity, gate_assignment, hungarian, similarity_matrix
+from .assignment import gate_assignment, hungarian, similarity_matrix
 from .embedding import normalize
 from .geometry import BBox
 
@@ -69,7 +69,7 @@ class Track:
     prototype: np.ndarray
     age: int
     born_at: int
-    embedding_sum: np.ndarray
+    embedding_sum: np.ndarray  # absorbed embeddings; only mean mode reads or adds to it
 
 
 @dataclass(eq=False)
@@ -79,9 +79,6 @@ class MemoryBank:
     tracks: list[Track] = field(default_factory=list)
     next_id: int = 1
     dim: int | None = None
-
-    def track_ids(self) -> list[int]:
-        return [t.track_id for t in self.tracks]
 
 
 @dataclass
@@ -134,9 +131,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         prototypes = np.stack([t.prototype for t in bank.tracks])
         embeddings = np.stack([det.embedding for _, det in kept])
         similarity = similarity_matrix(prototypes, embeddings)
-        matching = gate_assignment(
-            hungarian(cost_from_similarity(similarity)), similarity, params.tau_s
-        )
+        matching = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s)
         pairs = matching.pairs
         free_tracks = matching.unmatched_tracks
         free_dets = matching.unmatched_detections
@@ -182,11 +177,11 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
 
 
 def _absorb(track: Track, embedding: np.ndarray, params: TrackerParams) -> None:
-    track.embedding_sum = track.embedding_sum + embedding
     if params.ema_mode == "ema":
         blended = params.alpha * track.prototype + (1.0 - params.alpha) * embedding
         track.prototype = normalize(blended)
     else:
+        track.embedding_sum = track.embedding_sum + embedding
         track.prototype = normalize(track.embedding_sum)
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frond import Assignment, cost_from_similarity, gate_assignment, hungarian, similarity_matrix
+from frond import Assignment, gate_assignment, hungarian, similarity_matrix
 
 from oracles import min_assignment_total
 
@@ -22,16 +22,6 @@ def cost_matrices(draw):
     cell = draw(st.sampled_from([st.integers(0, 3).map(float), st.floats(-5.0, 5.0)]))
     values = draw(st.lists(cell, min_size=rows * cols, max_size=rows * cols))
     return np.array(values, dtype=np.float64).reshape(rows, cols)
-
-
-class TestCostFromSimilarity:
-    def test_maps_one_minus_s(self):
-        s = np.array([[0.95, 0.2], [0.3, 0.35]])
-        assert np.allclose(cost_from_similarity(s), 1.0 - s)
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            cost_from_similarity(np.array([[0.1, np.nan]]))
 
 
 class TestSimilarityMatrix:
@@ -189,7 +179,7 @@ class TestHungarian:
 class TestGateAssignment:
     def test_gate_example(self):
         similarity = np.array([[0.95, 0.2], [0.3, 0.35]])
-        matching = hungarian(cost_from_similarity(similarity))
+        matching = hungarian(1.0 - similarity)
         assert matching.pairs == [(0, 0), (1, 1)]
         gated = gate_assignment(matching, similarity, 0.4)
         assert gated.pairs == [(0, 0)]
@@ -198,7 +188,7 @@ class TestGateAssignment:
 
     def test_exact_threshold_survives(self):
         similarity = np.array([[0.4]])
-        matching = hungarian(cost_from_similarity(similarity))
+        matching = hungarian(1.0 - similarity)
         gated = gate_assignment(matching, similarity, 0.4)
         assert gated.pairs == [(0, 0)]
 
@@ -206,7 +196,7 @@ class TestGateAssignment:
         rng = np.random.default_rng(43)
         for _ in range(50):
             similarity = rng.uniform(-1.0, 1.0, size=(4, 6))
-            matching = hungarian(cost_from_similarity(similarity))
+            matching = hungarian(1.0 - similarity)
             previous = set(matching.pairs)
             for tau in (-1.0, -0.5, 0.0, 0.5, 1.0):
                 gated = gate_assignment(matching, similarity, tau)
@@ -216,7 +206,7 @@ class TestGateAssignment:
     def test_minus_one_keeps_everything(self):
         rng = np.random.default_rng(47)
         similarity = rng.uniform(-1.0, 1.0, size=(3, 3))
-        matching = hungarian(cost_from_similarity(similarity))
+        matching = hungarian(1.0 - similarity)
         gated = gate_assignment(matching, similarity, -1.0)
         assert gated.pairs == matching.pairs
 
@@ -226,7 +216,7 @@ class TestGateAssignment:
             rows, cols = rng.integers(1, 6, size=2)
             similarity = rng.uniform(-1.0, 1.0, size=(rows, cols))
             gated = gate_assignment(
-                hungarian(cost_from_similarity(similarity)), similarity, 0.3
+                hungarian(1.0 - similarity), similarity, 0.3
             )
             track_seen = sorted([i for i, _ in gated.pairs] + gated.unmatched_tracks)
             det_seen = sorted([j for _, j in gated.pairs] + gated.unmatched_detections)

@@ -10,9 +10,9 @@ from frond import (
     CropRef,
     SamplingStrategy,
     TripletSpec,
-    cosine_similarity,
     normalize,
     sample_triplets,
+    similarity_matrix,
     triplet_margin_loss,
 )
 
@@ -63,21 +63,23 @@ class TestNormalize:
 
 
 class TestCosineSimilarity:
+    """Cosine similarity of unit embeddings, as the tracker computes it."""
+
     def test_forty_five_degrees(self):
-        a = np.array([1.0, 0.0])
-        b = np.array([np.sqrt(0.5), np.sqrt(0.5)])
-        assert cosine_similarity(a, b) == pytest.approx(0.707107, abs=1e-6)
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
+        assert similarity_matrix(a, b)[0, 0] == pytest.approx(0.707107, abs=1e-6)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            cosine_similarity(np.zeros(3), np.zeros(4))
+            similarity_matrix(np.zeros((1, 3)), np.zeros((1, 4)))
 
     def test_unit_vectors_stay_in_range(self):
         rng = np.random.default_rng(7)
-        for _ in range(200):
-            a = normalize(rng.normal(size=12))
-            b = normalize(rng.normal(size=12))
-            assert -1.0 - 1e-9 <= cosine_similarity(a, b) <= 1.0 + 1e-9
+        a = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
+        b = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
+        s = similarity_matrix(a, b)
+        assert np.all((-1.0 - 1e-9 <= s) & (s <= 1.0 + 1e-9))
 
 
 class TestTripletMarginLoss:

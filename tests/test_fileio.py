@@ -497,6 +497,19 @@ class TestTrackerParamsFile:
         with pytest.raises(ValueError, match=r"params\.cfg: "):
             read_tracker_params(path)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("tau_a=1_0\n", "malformed value for tau_a: '1_0'"),
+            ("tau_s=0.4\ntau_a=\u0665\n", "malformed value for tau_a: '\u0665'"),
+            ("alpha=0. 5\n", "malformed value for alpha: '0. 5'"),
+            ("conf_min=0.\t5\n", "malformed value for conf_min: '0.\\t5'"),
+        ],
+    )
+    def test_strict_value_message_is_exact(self, tmp_path, text, message):
+        path = tmp_path / "params.cfg"
+        assert error_message(read_tracker_params, path, text) == f"{path}: {message}"
+
 
 class TestScenarioConfigFile:
     def test_full_parse(self, tmp_path):
@@ -572,6 +585,29 @@ class TestScenarioConfigFile:
         path.write_text("n_frames=0\nn_leaves=2\n")
         with pytest.raises(ValueError, match=r"scene\.cfg: "):
             read_scenario_config(path)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("n_frames=\u0665\nn_leaves=2\n", "malformed value for n_frames: '\u0665'"),
+            ("n_frames=5\nn_leaves=2\nseed=1_1\n", "malformed value for seed: '1_1'"),
+            (
+                "n_frames=5\nn_leaves=2\nrotation_events=1_0:0.5\n",
+                "malformed value for rotation_events: '1_0'",
+            ),
+            (
+                "n_frames=5\nn_leaves=2\nrotation_events=2:0.5, 3:0.1\n",
+                "malformed value for rotation_events: ' 3'",
+            ),
+            (
+                "n_frames=5\nn_leaves=2\nocclusion_windows=1:2:\u0663\n",
+                "malformed value for occlusion_windows: '\u0663'",
+            ),
+        ],
+    )
+    def test_strict_value_message_is_exact(self, tmp_path, text, message):
+        path = tmp_path / "scene.cfg"
+        assert error_message(read_scenario_config, path, text) == f"{path}: {message}"
 
 
 class TestLeafMatrixCsv:

@@ -17,16 +17,12 @@ from frond import (
     daily_accuracy,
     det_a,
     evaluate,
-    evaluate_sequences,
     format_report,
     format_report_machine,
-    hota,
     id_switches,
-    idf1,
     leaf_accuracy_matrix,
     match_frames,
-    merge_match_tables,
-    mota,
+    report_from_table,
 )
 from oracles import _best_frame_matching, _iou, brute_idf1, brute_mota, match_counts
 
@@ -261,7 +257,7 @@ class TestHota:
         for _ in range(25):
             gt, pred = random_scene(rng)
             table = match_frames(gt, pred)
-            d, a, h = det_a(table), ass_a(table), hota(table)
+            d, a, h = det_a(table), ass_a(table), report_from_table(table).hota
             assert h == pytest.approx(math.sqrt(d * a), abs=1e-12)
             assert 0.0 <= h <= 1.0
 
@@ -269,7 +265,7 @@ class TestHota:
         gt = [g(f, 1) for f in range(1, 11)]
         pred = [p(f, 1) for f in range(1, 9)] + [p(f, 2) for f in (9, 10)]
         table = match_frames(gt, pred)
-        assert hota(table) == pytest.approx(math.sqrt(1.0 * 0.8), abs=1e-12)
+        assert report_from_table(table).hota == pytest.approx(math.sqrt(1.0 * 0.8), abs=1e-12)
 
 
 class TestMota:
@@ -281,7 +277,7 @@ class TestMota:
         table = match_frames(gt, pred)
         assert (table.tp, table.fn, table.fp) == (9, 1, 1)
         assert id_switches(table) == 1
-        assert mota(table) == pytest.approx(0.7, abs=1e-12)
+        assert report_from_table(table).mota == pytest.approx(0.7, abs=1e-12)
 
     def test_switch_counted_across_gap_only_on_change(self):
         gt = [g(f, 1) for f in range(1, 11)]
@@ -293,37 +289,37 @@ class TestMota:
     def test_unclamped_below_zero(self):
         gt = [g(1, 1)]
         pred = [p(1, k, u=900.0 + 20.0 * k) for k in range(1, 4)]
-        assert mota(match_frames(gt, pred)) == pytest.approx(-3.0, abs=1e-12)
+        assert report_from_table(match_frames(gt, pred)).mota == pytest.approx(-3.0, abs=1e-12)
 
     def test_empty_gt_rejected(self):
-        with pytest.raises(ValueError, match="empty ground truth"):
-            mota(match_frames([], [p(1, 1)]))
+        # The check runs before any division, so a fully empty table
+        # raises this error, not ZeroDivisionError.
+        for pred in ([], [p(1, 1)]):
+            with pytest.raises(ValueError, match="^empty ground truth$"):
+                report_from_table(match_frames([], pred))
 
     def test_empty_pred(self):
-        assert mota(match_frames([g(f, 1) for f in range(1, 5)], [])) == 0.0
+        assert report_from_table(match_frames([g(f, 1) for f in range(1, 5)], [])).mota == 0.0
 
 
 class TestIdf1:
     def test_half_and_half(self):
         gt = [g(f, 1) for f in range(1, 11)]
         pred = [p(f, 1) for f in range(1, 6)] + [p(f, 2) for f in range(6, 11)]
-        assert idf1(match_frames(gt, pred)) == pytest.approx(0.5, abs=1e-12)
+        assert report_from_table(match_frames(gt, pred)).idf1 == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_is_one(self):
         gt, pred = perfect(6, 3, id_of=lambda leaf: 7 * leaf + 1)
-        assert idf1(match_frames(gt, pred)) == 1.0
+        assert report_from_table(match_frames(gt, pred)).idf1 == 1.0
 
     def test_empty_pred_is_zero(self):
-        assert idf1(match_frames([g(1, 1)], [])) == 0.0
-
-    def test_fully_empty_is_one(self):
-        assert idf1(match_frames([], [])) == 1.0
+        assert report_from_table(match_frames([g(1, 1)], [])).idf1 == 0.0
 
     def test_matches_exhaustive_bijection_search(self):
         rng = np.random.default_rng(61)
         for _ in range(30):
             gt, pred = random_scene(rng)
-            assert idf1(match_frames(gt, pred)) == brute_idf1(gt, pred)
+            assert report_from_table(match_frames(gt, pred)).idf1 == brute_idf1(gt, pred)
 
 
 class TestEvaluate:
@@ -355,28 +351,6 @@ class TestEvaluate:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="empty ground truth"):
             evaluate([], [p(1, 1)])
-
-
-class TestSequences:
-    def test_merge_totals_add(self):
-        gt_a, pred_a = perfect(3, 1)
-        gt_b = [g(f, 1) for f in range(1, 10)]
-        pred_b = [p(f, 1) for f in range(1, 9)] + [p(9, 1, u=500.0)]
-        merged = merge_match_tables(
-            [match_frames(gt_a, pred_a), match_frames(gt_b, pred_b)]
-        )
-        assert (merged.tp, merged.fn, merged.fp) == (11, 1, 1)
-        assert len(merged.frames) == 12
-
-    def test_duplicated_sequence_keeps_rates(self):
-        gt = [g(f, 1) for f in range(1, 10)]
-        pred = [p(f, 1) for f in range(1, 9)] + [p(9, 1, u=500.0)]
-        single = evaluate(gt, pred)
-        double = evaluate_sequences([(gt, pred), (gt, pred)])
-        assert double.tp == 2 * single.tp
-        assert double.deta == pytest.approx(single.deta, abs=1e-12)
-        assert double.mota == pytest.approx(single.mota, abs=1e-12)
-        assert double.idf1 == pytest.approx(single.idf1, abs=1e-12)
 
 
 class TestLeafMatrix:

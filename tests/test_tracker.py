@@ -7,7 +7,10 @@ from frond import (
     BBox,
     Detection,
     MemoryBank,
+    ScenarioConfig,
     TrackerParams,
+    generate,
+    normalize,
     run_sequence,
     step,
     tracked_boxes,
@@ -69,20 +72,20 @@ class TestInitBank:
         params = TrackerParams()
         bank = MemoryBank()
         result = step(bank, [det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params, 1)
-        assert bank.track_ids() == [1]
+        assert [t.track_id for t in bank.tracks] == [1]
         assert result.new_track_ids == [1]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
 
     def test_exact_threshold_kept(self):
         bank = MemoryBank()
         step(bank, [det(axis(4, 0), conf=0.5)], TrackerParams(), 1)
-        assert bank.track_ids() == [1]
+        assert [t.track_id for t in bank.tracks] == [1]
 
     def test_ids_follow_detection_order(self):
         dets = [det(axis(8, k), u=20.0 * k) for k in range(5)]
         bank = MemoryBank()
         result = step(bank, dets, TrackerParams(), 1)
-        assert bank.track_ids() == [1, 2, 3, 4, 5]
+        assert [t.track_id for t in bank.tracks] == [1, 2, 3, 4, 5]
         assert result.new_track_ids == [1, 2, 3, 4, 5]
         assert [j for _, j, _ in result.assignments] == [0, 1, 2, 3, 4]
 
@@ -97,7 +100,7 @@ class TestInitBank:
     def test_disable_with_high_conf_min(self):
         bank = MemoryBank()
         result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
-        assert bank.track_ids() == []
+        assert [t.track_id for t in bank.tracks] == []
         assert result.assignments == []
 
 
@@ -148,6 +151,39 @@ class TestStep:
         expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
         assert bank.tracks[0].prototype == pytest.approx(expected, abs=1e-12)
 
+    def test_ema_prototypes_are_the_blend_bit_for_bit(self):
+        # Replays a noisy seeded scene: after every frame each matched
+        # prototype must equal normalize(alpha * old + (1 - alpha) * e)
+        # exactly, and each new one the founding embedding.
+        cfg = ScenarioConfig(
+            n_frames=20,
+            n_leaves=6,
+            miss_prob=0.1,
+            fp_rate=0.5,
+            conf_lo=0.4,
+            embedding_dim=16,
+            embedding_noise_std=0.1,
+            embedding_drift_rate=0.02,
+            seed=5,
+        )
+        _, frames, _ = generate(cfg)
+        params = TrackerParams(alpha=0.7)
+        bank = MemoryBank()
+        matched = 0
+        for frame in sorted(frames):
+            before = {t.track_id: t.prototype for t in bank.tracks}
+            result = step(bank, frames[frame], params, frame)
+            after = {t.track_id: t.prototype for t in bank.tracks}
+            for track_id, j, _ in result.assignments:
+                e = frames[frame][j].embedding
+                if track_id in result.new_track_ids:
+                    expected = e
+                else:
+                    expected = normalize(params.alpha * before[track_id] + (1.0 - params.alpha) * e)
+                    matched += 1
+                assert np.array_equal(after[track_id], expected)
+        assert matched > 50
+
     def test_gated_detection_founds_new_track(self):
         params = TrackerParams()
         bank = MemoryBank()
@@ -157,7 +193,7 @@ class TestStep:
         result = step(bank, [far], params, frame=2)
         assert result.new_track_ids == [2]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(2, 0)]
-        assert bank.track_ids() == [1, 2]
+        assert [t.track_id for t in bank.tracks] == [1, 2]
         assert bank.tracks[0].age == 1
 
     def test_age_increments_and_prunes_after_tau_a(self):
@@ -170,7 +206,7 @@ class TestStep:
             assert bank.tracks[0].age == empty_frame - 1
         result = step(bank, [], params, frame=7)
         assert result.pruned_track_ids == [1]
-        assert bank.track_ids() == []
+        assert [t.track_id for t in bank.tracks] == []
 
     def test_reappearance_within_tau_a_keeps_id(self):
         params = TrackerParams(tau_a=5)
