@@ -134,21 +134,8 @@ def _cmd_sweep(args) -> int:
                 params = TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
                 rows = tracked_boxes(run_sequence(frames, params))
                 report = evaluate(gt, rows, args.iou)
-                lines.append(
-                    ",".join(
-                        [repr(tau_s), repr(alpha), mode]
-                        + [
-                            repr(value)
-                            for value in (
-                                report.hota,
-                                report.deta,
-                                report.assa,
-                                report.mota,
-                                report.idf1,
-                            )
-                        ]
-                    )
-                )
+                scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
+                lines.append(",".join([repr(tau_s), repr(alpha), mode, *scores]))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         with open(args.out, "w", newline="\n") as handle:

@@ -9,10 +9,11 @@ row loop, so a bad line is reported the same way in each of them.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 import re
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -22,7 +23,7 @@ from .metrics import CELL_ABSENT, CELL_CORRECT, GtAnnotation, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
 from .tracker import Detection, FrameResult, TrackedBox, TrackerParams, tracked_boxes
 
-_HEADER_RE = re.compile(r"#dim=(\d+)$")
+_HEADER_RE = re.compile(r"#dim=([0-9]+)")
 _GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
 _RESULT_FIELDS = ("frame", "track id", "x", "y", "w", "h", "confidence")
 _TRUTH_MAP_FIELDS = ("frame", "detection index", "leaf id")
@@ -125,7 +126,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError(f"{path}:1: missing #dim header")
-    header = _HEADER_RE.match(lines[0].strip())
+    header = _HEADER_RE.fullmatch(lines[0])
     if not header:
         raise ValueError(f"{path}:1: missing #dim header, got {lines[0]!r}")
     dim = int(header.group(1))
@@ -329,7 +330,21 @@ def _read_kv(path) -> dict[str, str]:
 
 
 def _cast(kind, raw: str, key: str, path):
-    """raw converted by kind; a value that _strict rejects is malformed too."""
+    """raw converted by kind; a value that _strict rejects is malformed too.
+
+    A tuple[tuple[...], ...] kind reads comma-separated entries of
+    colon-joined pieces, each piece converted by its own type; an empty
+    value is the empty tuple.
+    """
+    if get_origin(kind) is tuple:
+        piece_kinds = get_args(get_args(kind)[0])
+        entries = []
+        for part in raw.split(",") if raw else ():
+            pieces = part.split(":")
+            if len(pieces) != len(piece_kinds):
+                raise ValueError(f"{path}: malformed value for {key}: {part!r}")
+            entries.append(tuple(_cast(k, p, key, path) for k, p in zip(piece_kinds, pieces)))
+        return tuple(entries)
     try:
         if _strict(raw):
             return kind(raw)
@@ -338,86 +353,37 @@ def _cast(kind, raw: str, key: str, path):
     raise ValueError(f"{path}: malformed value for {key}: {raw!r}")
 
 
-def read_tracker_params(path) -> TrackerParams:
-    """Read tracker parameters; unknown keys are an error, missing keys default."""
-    schema = {"tau_s": float, "tau_a": int, "alpha": float, "conf_min": float, "ema_mode": str}
-    values = _read_kv(path)
+def _read_config(path, cls):
+    """Read a key=value file into the dataclass cls, whose fields are the schema.
+
+    The keys are the field names, the required keys are the fields with no
+    default, and each value is converted by the field's annotated type.
+    """
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    kinds = get_type_hints(cls)
     kwargs = {}
-    for key, raw in values.items():
-        if key not in schema:
+    for key, raw in _read_kv(path).items():
+        if key not in fields:
             raise ValueError(f"{path}: unknown config key: {key}")
-        kwargs[key] = _cast(schema[key], raw, key, path)
+        kwargs[key] = _cast(kinds[key], raw, key, path)
+    for name, f in fields.items():
+        required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+        if required and name not in kwargs:
+            raise ValueError(f"{path}: missing required key: {name}")
     try:
-        return TrackerParams(**kwargs)
+        return cls(**kwargs)
     except ValueError as err:
         raise ValueError(f"{path}: {err}") from None
 
 
-def _parse_rotation_events(raw: str, path) -> tuple[tuple[int, float], ...]:
-    if not raw:
-        return ()
-    events = []
-    for part in raw.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 2:
-            raise ValueError(f"{path}: malformed value for rotation_events: {part!r}")
-        frame = _cast(int, pieces[0], "rotation_events", path)
-        angle = _cast(float, pieces[1], "rotation_events", path)
-        events.append((frame, angle))
-    return tuple(events)
-
-
-def _parse_occlusion_windows(raw: str, path) -> tuple[tuple[int, int, int], ...]:
-    if not raw:
-        return ()
-    windows = []
-    for part in raw.split(","):
-        pieces = part.split(":")
-        if len(pieces) != 3:
-            raise ValueError(f"{path}: malformed value for occlusion_windows: {part!r}")
-        windows.append(tuple(_cast(int, piece, "occlusion_windows", path) for piece in pieces))
-    return tuple(windows)
+def read_tracker_params(path) -> TrackerParams:
+    """Read tracker parameters; unknown keys are an error, missing keys default."""
+    return _read_config(path, TrackerParams)
 
 
 def read_scenario_config(path) -> ScenarioConfig:
     """Read a scenario config; n_frames and n_leaves are required."""
-    schema = {
-        "n_frames": int,
-        "n_leaves": int,
-        "frame_width": int,
-        "frame_height": int,
-        "occlusion_prob": float,
-        "miss_prob": float,
-        "fp_rate": float,
-        "box_jitter_std": float,
-        "conf_lo": float,
-        "conf_hi": float,
-        "embedding_dim": int,
-        "embedding_noise_std": float,
-        "embedding_drift_rate": float,
-        "latent_similarity": float,
-        "birth_window": int,
-        "death_prob": float,
-        "seed": int,
-    }
-    values = _read_kv(path)
-    kwargs = {}
-    for key, raw in values.items():
-        if key == "rotation_events":
-            kwargs[key] = _parse_rotation_events(raw, path)
-        elif key == "occlusion_windows":
-            kwargs[key] = _parse_occlusion_windows(raw, path)
-        elif key in schema:
-            kwargs[key] = _cast(schema[key], raw, key, path)
-        else:
-            raise ValueError(f"{path}: unknown config key: {key}")
-    for required in ("n_frames", "n_leaves"):
-        if required not in kwargs:
-            raise ValueError(f"{path}: missing required key: {required}")
-    try:
-        return ScenarioConfig(**kwargs)
-    except ValueError as err:
-        raise ValueError(f"{path}: {err}") from None
+    return _read_config(path, ScenarioConfig)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterable
 
 import numpy as np
@@ -396,18 +396,4 @@ def format_report(report: MetricReport) -> str:
 
 def format_report_machine(report: MetricReport) -> str:
     """Line-oriented key=value report with raw fractions at full precision."""
-    parts = [
-        ("hota", report.hota),
-        ("deta", report.deta),
-        ("assa", report.assa),
-        ("mota", report.mota),
-        ("idf1", report.idf1),
-        ("tp", report.tp),
-        ("fp", report.fp),
-        ("fn", report.fn),
-        ("idsw", report.idsw),
-        ("idtp", report.idtp),
-        ("idfp", report.idfp),
-        ("idfn", report.idfn),
-    ]
-    return "\n".join(f"{key}={value!r}" for key, value in parts)
+    return "\n".join(f"{f.name}={getattr(report, f.name)!r}" for f in fields(report))

@@ -78,6 +78,11 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {value}")
+        # NaN slips past the `< 0.0` checks below, and inf reaches the samplers.
+        for name in ("fp_rate", "box_jitter_std", "embedding_noise_std", "embedding_drift_rate"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.fp_rate < 0.0:
             raise ValueError(f"fp_rate must be non-negative, got {self.fp_rate}")
         if self.box_jitter_std < 0.0 or self.embedding_noise_std < 0.0:
@@ -92,6 +97,8 @@ class ScenarioConfig:
             raise ValueError("latent_similarity must lie in [0, 1)")
         if self.birth_window < 0 or self.birth_window >= self.n_frames:
             raise ValueError("birth_window must lie in [0, n_frames)")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         for frame, angle in self.rotation_events:
             if frame < 1 or not math.isfinite(angle):
                 raise ValueError(f"bad rotation event ({frame}, {angle})")

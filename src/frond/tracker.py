@@ -54,8 +54,9 @@ class TrackerParams:
             raise ValueError(f"tau_a must be a non-negative integer, got {self.tau_a}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
-        # No upper bound: a threshold above 1 is a valid way to drop everything.
-        if self.conf_min < 0.0:
+        # No upper bound: a threshold above 1, inf included, is a valid way to
+        # drop everything.  NaN fails the comparison and is rejected.
+        if not self.conf_min >= 0.0:
             raise ValueError(f"conf_min must be non-negative, got {self.conf_min}")
         if self.ema_mode not in EMA_MODES:
             raise ValueError(f"ema_mode must be one of {EMA_MODES}, got {self.ema_mode!r}")
@@ -153,13 +154,15 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         raw_index, det = kept[dj]
         track_id = bank.next_id
         bank.next_id += 1
+        # _absorb only rebinds prototype and embedding_sum, so one copy serves both.
+        embedding = det.embedding.copy()
         bank.tracks.append(
             Track(
                 track_id=track_id,
-                prototype=det.embedding.copy(),
+                prototype=embedding,
                 age=0,
                 born_at=frame,
-                embedding_sum=det.embedding.copy(),
+                embedding_sum=embedding,
             )
         )
         new_ids.append(track_id)
@@ -177,6 +180,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
 
 
 def _absorb(track: Track, embedding: np.ndarray, params: TrackerParams) -> None:
+    # Rebind, never update in place: a new track's two fields share one array.
     if params.ema_mode == "ema":
         blended = params.alpha * track.prototype + (1.0 - params.alpha) * embedding
         track.prototype = normalize(blended)

@@ -63,6 +63,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path)]) == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_non_finite_config_value_names_path_and_key(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text(CLEAN_SCENARIO + "fp_rate=nan\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 1
+        assert capsys.readouterr().err == f"error: {config}: fp_rate must be finite, got nan\n"
+        assert not out_dir.exists()
+
 
 class TestTrack:
     def test_reports_created_and_pruned(self, pipeline, capsys, tmp_path):

@@ -1,7 +1,11 @@
 """Text formats: round-trips, validation messages, byte determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from frond import (
     BBox,
@@ -29,6 +33,7 @@ from frond import (
     write_triplets,
     write_truth_map,
 )
+from frond.fileio import _read_config
 
 
 def sample_frames(rng, n_frames=3, per_frame=2, dim=6):
@@ -92,6 +97,28 @@ class TestDetectionsFile:
         path.write_text("")
         with pytest.raises(ValueError, match="missing #dim header"):
             read_detections(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "  #dim=2  ",
+            "#dim=2 ",
+            "\t#dim=2",
+            "#dim=\u0662",  # an Arabic-Indic two
+            "#dim=+2",
+            "#dim=2x",
+            "#dim=",
+        ],
+    )
+    def test_header_must_match_exactly(self, tmp_path, header):
+        path = tmp_path / "det.txt"
+        got = error_message(read_detections, path, f"{header}\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n")
+        assert got == f"{path}:1: missing #dim header, got {header!r}"
+
+    def test_header_dimension_zero_message(self, tmp_path):
+        path = tmp_path / "det.txt"
+        got = error_message(read_detections, path, "#dim=0\n")
+        assert got == f"{path}:1: embedding dimension must be at least 1"
 
     def test_field_count_names_line(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -608,6 +635,100 @@ class TestScenarioConfigFile:
     def test_strict_value_message_is_exact(self, tmp_path, text, message):
         path = tmp_path / "scene.cfg"
         assert error_message(read_scenario_config, path, text) == f"{path}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            # An entry with the wrong number of pieces is reported whole,
+            # a bad piece alone.
+            ("rotation_events=1:2:3\n", "malformed value for rotation_events: '1:2:3'"),
+            ("rotation_events=1:0.5,\n", "malformed value for rotation_events: ''"),
+            ("rotation_events=1.5:0.5\n", "malformed value for rotation_events: '1.5'"),
+            ("occlusion_windows=1:2:x\n", "malformed value for occlusion_windows: 'x'"),
+        ],
+    )
+    def test_tuple_field_message_is_exact(self, tmp_path, text, message):
+        path = tmp_path / "scene.cfg"
+        got = error_message(read_scenario_config, path, "n_frames=5\nn_leaves=2\n" + text)
+        assert got == f"{path}: {message}"
+
+
+def _config_text(config) -> str:
+    """Every field of a config dataclass as one key=value line.
+
+    Numbers are written with repr, strings as they are, and tuple fields as
+    comma-separated entries of colon-joined pieces.
+    """
+    lines = []
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if isinstance(value, tuple):
+            text = ",".join(":".join(map(repr, entry)) for entry in value)
+        elif isinstance(value, str):
+            text = value
+        else:
+            text = repr(value)
+        lines.append(f"{f.name}={text}")
+    return "\n".join(lines) + "\n"
+
+
+_UNIT = st.floats(0.0, 1.0)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NON_NEGATIVE = st.floats(0.0, 1e12)
+
+
+@st.composite
+def scenario_configs(draw):
+    """ScenarioConfigs that the validator accepts, every field drawn."""
+    n_frames = draw(st.integers(1, 60))
+    n_leaves = draw(st.integers(1, 12))
+    conf_lo, conf_hi = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
+    windows = st.tuples(st.integers(1, n_leaves), st.integers(1, n_frames), st.integers(1, n_frames))
+    return ScenarioConfig(
+        n_frames=n_frames,
+        n_leaves=n_leaves,
+        frame_width=draw(st.integers(32, 4096)),
+        frame_height=draw(st.integers(32, 4096)),
+        occlusion_prob=draw(_UNIT),
+        rotation_events=tuple(draw(st.lists(st.tuples(st.integers(1, 10**6), _FINITE), max_size=4))),
+        occlusion_windows=tuple(
+            (leaf, min(a, b), max(a, b)) for leaf, a, b in draw(st.lists(windows, max_size=4))
+        ),
+        miss_prob=draw(_UNIT),
+        fp_rate=draw(_NON_NEGATIVE),
+        box_jitter_std=draw(_NON_NEGATIVE),
+        conf_lo=conf_lo,
+        conf_hi=conf_hi,
+        embedding_dim=draw(st.integers(2, 1024)),
+        embedding_noise_std=draw(_NON_NEGATIVE),
+        embedding_drift_rate=draw(_NON_NEGATIVE),
+        latent_similarity=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        birth_window=draw(st.integers(0, n_frames - 1)),
+        death_prob=draw(_UNIT),
+        seed=draw(st.integers(0, 2**70)),
+    )
+
+
+tracker_params = st.builds(
+    TrackerParams,
+    tau_s=st.floats(-1.0, 1.0),
+    tau_a=st.integers(0, 10**9),
+    alpha=_UNIT,
+    conf_min=st.floats(min_value=0.0, allow_nan=False),
+    ema_mode=st.sampled_from(("ema", "mean")),
+)
+
+
+class TestConfigRoundTrip:
+    # The one file is rewritten by every example, so sharing tmp_path is safe.
+    @settings(
+        max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(st.one_of(scenario_configs(), tracker_params))
+    def test_every_field_reads_back_equal(self, tmp_path, config):
+        path = tmp_path / "config.cfg"
+        path.write_text(_config_text(config))
+        assert _read_config(path, type(config)) == config
 
 
 class TestLeafMatrixCsv:

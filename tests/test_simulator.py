@@ -78,6 +78,21 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ScenarioConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "name", ["fp_rate", "box_jitter_std", "embedding_noise_std", "embedding_drift_rate"]
+    )
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_with_exact_message(self, name, value):
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=5, n_leaves=2, **{name: value})
+        assert str(err.value) == f"{name} must be finite, got {value}"
+
+    def test_rejects_negative_seed_with_exact_message(self):
+        # numpy's generator refuses it, so it would fail only once generate runs.
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=5, n_leaves=2, seed=-1)
+        assert str(err.value) == "seed must be non-negative, got -1"
+
 
 class TestGenerate:
     def test_deterministic_for_equal_seeds(self):

@@ -1,5 +1,7 @@
 """Memory bank lifecycle: matching, prototype updates, aging, pruning."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -54,6 +56,15 @@ class TestParams:
         # A threshold no detection can reach is a legal way to disable tracking.
         assert TrackerParams(conf_min=1.1).conf_min == 1.1
 
+    def test_conf_min_infinity_allowed(self):
+        assert TrackerParams(conf_min=math.inf).conf_min == math.inf
+
+    def test_conf_min_nan_rejected_with_exact_message(self):
+        # NaN fails every comparison, so it would drop every detection.
+        with pytest.raises(ValueError) as err:
+            TrackerParams(conf_min=math.nan)
+        assert str(err.value) == "conf_min must be non-negative, got nan"
+
 
 class TestDetection:
     def test_embedding_normalized_at_construction(self):
@@ -102,6 +113,18 @@ class TestInitBank:
         result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
         assert [t.track_id for t in bank.tracks] == []
         assert result.assignments == []
+
+    @pytest.mark.parametrize("mode", ["ema", "mean"])
+    def test_new_track_does_not_share_the_detection_embedding(self, mode):
+        # alpha=0.5 EMA and the two-sample mean both give (0.6, 1.8) normalized.
+        params = TrackerParams(tau_s=-1.0, ema_mode=mode)
+        first = det([3.0, 4.0])
+        bank = MemoryBank()
+        step(bank, [first], params, 1)
+        first.embedding[:] = [1.0, 0.0]
+        assert bank.tracks[0].prototype == pytest.approx([0.6, 0.8], abs=1e-12)
+        step(bank, [det([0.0, 1.0])], params, 2)
+        assert bank.tracks[0].prototype == pytest.approx(normalize(np.array([0.6, 1.8])), abs=1e-12)
 
 
 class TestStep:
