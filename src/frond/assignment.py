@@ -10,11 +10,13 @@ import numpy as np
 
 @dataclass
 class Assignment:
-    """One-to-one matching outcome between track rows and detection columns."""
+    """One-to-one matching between track rows and detection columns.
+
+    A row or column that appears in no pair is unmatched; the caller,
+    which knows how many rows and columns there are, works that out.
+    """
 
     pairs: list[tuple[int, int]] = field(default_factory=list)
-    unmatched_tracks: list[int] = field(default_factory=list)
-    unmatched_detections: list[int] = field(default_factory=list)
 
 
 def similarity_matrix(prototypes: np.ndarray, embeddings: np.ndarray) -> np.ndarray:
@@ -36,8 +38,8 @@ def hungarian(cost: np.ndarray) -> Assignment:
     """Minimum-total-cost one-to-one assignment over a cost matrix.
 
     Rectangular matrices are solved natively: exactly min(rows, cols)
-    pairs are produced and the surplus rows or columns are reported
-    unmatched.  The total cost is optimal and the result is
+    pairs are produced and the surplus rows or columns appear in none of
+    them.  The total cost is optimal and the result is
     deterministic: the same matrix always yields the same pairs.  A
     matrix with more rows than columns is solved transposed.  Among
     several equally cheap optima, the one found is the one the shorter
@@ -50,8 +52,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
         cost: (rows, cols) matrix of finite costs.
 
     Returns:
-        Assignment with pairs sorted by row index and unmatched index
-        lists sorted ascending.
+        Assignment with pairs sorted by row index.
 
     Raises:
         ValueError: on an empty matrix or any NaN / non-finite entry.
@@ -63,18 +64,9 @@ def hungarian(cost: np.ndarray) -> Assignment:
         raise ValueError("invalid cost: NaN entry")
     if not np.all(np.isfinite(c)):
         raise ValueError("invalid cost: non-finite entry")
-    rows, cols = c.shape
-    if rows <= cols:
-        pairs = list(enumerate(_solve(c)))
-    else:
-        pairs = sorted((i, j) for j, i in enumerate(_solve(c.T)))
-    matched_rows = {i for i, _ in pairs}
-    matched_cols = {j for _, j in pairs}
-    return Assignment(
-        pairs=pairs,
-        unmatched_tracks=[i for i in range(rows) if i not in matched_rows],
-        unmatched_detections=[j for j in range(cols) if j not in matched_cols],
-    )
+    if c.shape[0] <= c.shape[1]:
+        return Assignment(list(enumerate(_solve(c))))
+    return Assignment(sorted((i, j) for j, i in enumerate(_solve(c.T))))
 
 
 def _solve(cost: np.ndarray) -> list[int]:
@@ -151,21 +143,8 @@ def gate_assignment(assignment: Assignment, similarity: np.ndarray, tau_s: float
     """Reject matched pairs whose similarity falls below the gate.
 
     A pair with similarity exactly tau_s survives; strictly below is
-    rejected and both its track and detection move to the unmatched
-    lists.  Unmatched entries of the input are carried through.
+    dropped, which leaves both its track and its detection unmatched.
+    Kept pairs stay in their input order.
     """
     s = np.asarray(similarity, dtype=np.float64)
-    kept = []
-    freed_tracks = []
-    freed_dets = []
-    for ti, dj in assignment.pairs:
-        if s[ti, dj] < tau_s:
-            freed_tracks.append(ti)
-            freed_dets.append(dj)
-        else:
-            kept.append((ti, dj))
-    return Assignment(
-        pairs=kept,
-        unmatched_tracks=sorted(assignment.unmatched_tracks + freed_tracks),
-        unmatched_detections=sorted(assignment.unmatched_detections + freed_dets),
-    )
+    return Assignment([(ti, dj) for ti, dj in assignment.pairs if s[ti, dj] >= tau_s])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -15,6 +16,7 @@ STRATEGY_KINDS = (CROSS_PLANT_FLEXIBLE, INTRA_PLANT_FULL_CYCLE, INTRA_PLANT_TEMP
 
 _RETRY_LIMIT = 1000
 _UNIT_TOL = 1e-12
+_SMALLEST_NORMAL = sys.float_info.min
 
 
 def normalize(values) -> np.ndarray:
@@ -22,7 +24,9 @@ def normalize(values) -> np.ndarray:
 
     A vector already within 1e-12 of unit norm is returned unchanged, so
     normalization is an exact no-op on stored unit vectors and repeated
-    application never drifts.
+    application never drifts.  Finite vectors whose squared norm
+    overflows or underflows are first divided by their largest absolute
+    entry, so any non-zero finite vector normalizes.
 
     Raises:
         ValueError: on a zero or non-finite vector.
@@ -31,15 +35,21 @@ def normalize(values) -> np.ndarray:
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"embedding must be a non-empty 1-d vector, got shape {v.shape}")
     # One pass: np.linalg.norm of a 1-d float vector is exactly
-    # sqrt(x.x) with x = v.ravel("K"), and a nan or inf entry makes x.x
-    # non-finite, so the entry scan runs only then.
+    # sqrt(x.x) with x = v.ravel("K").  A nan or inf entry, a zero vector
+    # and a squared norm that overflowed or lost precision to underflow
+    # all land outside [smallest normal, inf), so the entry scan runs
+    # only then.
     x = v.ravel(order="K")
     sq = float(x.dot(x))
-    if not math.isfinite(sq) and not np.all(np.isfinite(v)):
-        raise ValueError("non-finite embedding value")
+    if not _SMALLEST_NORMAL <= sq < math.inf:
+        if not np.all(np.isfinite(v)):
+            raise ValueError("non-finite embedding value")
+        peak = float(np.abs(v).max())
+        if peak == 0.0:
+            raise ValueError("cannot normalize a zero vector")
+        v = v / peak
+        sq = float(v.dot(v))
     norm = math.sqrt(sq)
-    if norm == 0.0:
-        raise ValueError("cannot normalize a zero vector")
     if abs(norm - 1.0) <= _UNIT_TOL:
         return v.copy()
     return v / norm

@@ -229,23 +229,20 @@ def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float)
     next_id = 1
     for frame in sorted(frames):
         dets = frames[frame]
-        assignments: list[tuple[int, int, BBox]] = []
-        new_ids: list[int] = []
-        matched_prev: set = set()
-        matched_det: set = set()
+        det_of_prev: dict[int, int] = {}
         if previous and dets:
             overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
-            for ti, dj in match_by_iou(overlap, iou_gate):
-                assignments.append((previous[ti][0], dj, dets[dj].box))
-                matched_prev.add(ti)
-                matched_det.add(dj)
+            det_of_prev = dict(match_by_iou(overlap, iou_gate))
+        assignments = [(previous[ti][0], dj, dets[dj].box) for ti, dj in det_of_prev.items()]
+        pruned = sorted(tid for ti, (tid, _) in enumerate(previous) if ti not in det_of_prev)
+        matched_dets = set(det_of_prev.values())
+        new_ids: list[int] = []
         for dj, detection in enumerate(dets):
-            if dj in matched_det:
+            if dj in matched_dets:
                 continue
             assignments.append((next_id, dj, detection.box))
             new_ids.append(next_id)
             next_id += 1
-        pruned = sorted(tid for ti, (tid, _) in enumerate(previous) if ti not in matched_prev)
         assignments.sort(key=lambda entry: entry[0])
         previous = [(tid, box) for tid, _, box in assignments]
         results.append(FrameResult(frame, assignments, new_ids, pruned))

@@ -112,9 +112,9 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     Confidence-filtered detections are matched to prototypes by
     minimum-cost assignment on (1 - similarity) and gated at tau_s.
     Matched tracks absorb their detection (EMA or running mean, then
-    renormalized) and reset age to 0.  Unmatched detections, gated ones
-    included, found new tracks.  Unmatched tracks age by one and are
-    pruned once age exceeds tau_a.
+    renormalized) and reset age to 0; every other track ages by one and
+    is pruned once age exceeds tau_a.  Unmatched detections, gated ones
+    included, then found new tracks in detection order.
 
     Raises:
         ValueError: on an embedding dimension mismatch.
@@ -128,30 +128,32 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         elif d != dim:
             raise ValueError(f"dimension mismatch: embedding has {d} components, bank uses {dim}")
 
+    pairs = []
     if bank.tracks and kept:
         prototypes = np.stack([t.prototype for t in bank.tracks])
         embeddings = np.stack([det.embedding for _, det in kept])
         similarity = similarity_matrix(prototypes, embeddings)
-        matching = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s)
-        pairs = matching.pairs
-        free_tracks = matching.unmatched_tracks
-        free_dets = matching.unmatched_detections
-    else:
-        pairs = []
-        free_tracks = list(range(len(bank.tracks)))
-        free_dets = list(range(len(kept)))
+        pairs = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s).pairs
+    det_of_track = dict(pairs)
 
     assignments = []
-    for ti, dj in pairs:
-        track = bank.tracks[ti]
+    for ti, track in enumerate(bank.tracks):
+        dj = det_of_track.get(ti)
+        if dj is None:
+            track.age += 1
+            continue
         raw_index, det = kept[dj]
         _absorb(track, det.embedding, params)
         track.age = 0
         assignments.append((track.track_id, raw_index, det.box))
+    pruned = [t.track_id for t in bank.tracks if t.age > params.tau_a]
+    bank.tracks = [t for t in bank.tracks if t.age <= params.tau_a]
 
+    matched_dets = set(det_of_track.values())
     new_ids = []
-    for dj in sorted(free_dets):
-        raw_index, det = kept[dj]
+    for dj, (raw_index, det) in enumerate(kept):
+        if dj in matched_dets:
+            continue
         track_id = bank.next_id
         bank.next_id += 1
         # _absorb only rebinds prototype and embedding_sum, so one copy serves both.
@@ -167,13 +169,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         )
         new_ids.append(track_id)
         assignments.append((track_id, raw_index, det.box))
-    if kept:
-        bank.dim = dim
-
-    for ti in free_tracks:
-        bank.tracks[ti].age += 1
-    pruned = [t.track_id for t in bank.tracks if t.age > params.tau_a]
-    bank.tracks = [t for t in bank.tracks if t.age <= params.tau_a]
+    bank.dim = dim
 
     assignments.sort(key=lambda entry: entry[0])
     return FrameResult(frame, assignments, new_ids, sorted(pruned))

@@ -14,6 +14,13 @@ def total_cost(cost, pairs) -> float:
     return float(sum(cost[i, j] for i, j in pairs))
 
 
+def assert_one_to_one(cost, pairs):
+    """min(rows, cols) pairs, no row or column used twice."""
+    assert len(pairs) == min(cost.shape)
+    assert len({i for i, _ in pairs}) == len(pairs)
+    assert len({j for _, j in pairs}) == len(pairs)
+
+
 @st.composite
 def cost_matrices(draw):
     """Shapes 1-6 x 1-6, with either tie-heavy integer costs 0-3 or float costs in [-5, 5]."""
@@ -43,8 +50,7 @@ class TestHungarian:
         result = hungarian(cost)
         assert result.pairs == [(0, 1), (1, 0)]
         assert total_cost(cost, result.pairs) == 3.0
-        assert result.unmatched_tracks == []
-        assert result.unmatched_detections == []
+        assert_one_to_one(cost, result.pairs)
 
     def test_single_cell(self):
         result = hungarian(np.array([[2.5]]))
@@ -53,9 +59,7 @@ class TestHungarian:
     def test_rectangular_wide(self):
         cost = np.array([[5.0, 1.0, 3.0], [2.0, 4.0, 6.0]])
         result = hungarian(cost)
-        assert len(result.pairs) == 2
-        assert result.unmatched_tracks == []
-        assert len(result.unmatched_detections) == 1
+        assert_one_to_one(cost, result.pairs)
         assert total_cost(cost, result.pairs) == pytest.approx(
             min_assignment_total(cost), abs=1e-12
         )
@@ -63,9 +67,7 @@ class TestHungarian:
     def test_rectangular_tall(self):
         cost = np.array([[5.0, 1.0], [2.0, 4.0], [3.0, 6.0]])
         result = hungarian(cost)
-        assert len(result.pairs) == 2
-        assert len(result.unmatched_tracks) == 1
-        assert result.unmatched_detections == []
+        assert_one_to_one(cost, result.pairs)
         assert total_cost(cost, result.pairs) == pytest.approx(
             min_assignment_total(cost), abs=1e-12
         )
@@ -140,11 +142,7 @@ class TestHungarian:
     @given(cost_matrices())
     def test_property_optimal_one_to_one_deterministic(self, cost):
         result = hungarian(cost)
-        rows = [i for i, _ in result.pairs]
-        cols = [j for _, j in result.pairs]
-        assert len(result.pairs) == min(cost.shape)
-        assert len(set(rows)) == len(rows)
-        assert len(set(cols)) == len(cols)
+        assert_one_to_one(cost, result.pairs)
         assert total_cost(cost, result.pairs) == pytest.approx(
             min_assignment_total(cost), abs=1e-9
         )
@@ -182,9 +180,7 @@ class TestGateAssignment:
         matching = hungarian(1.0 - similarity)
         assert matching.pairs == [(0, 0), (1, 1)]
         gated = gate_assignment(matching, similarity, 0.4)
-        assert gated.pairs == [(0, 0)]
-        assert gated.unmatched_tracks == [1]
-        assert gated.unmatched_detections == [1]
+        assert gated == Assignment([(0, 0)])
 
     def test_exact_threshold_survives(self):
         similarity = np.array([[0.4]])
@@ -209,16 +205,3 @@ class TestGateAssignment:
         matching = hungarian(1.0 - similarity)
         gated = gate_assignment(matching, similarity, -1.0)
         assert gated.pairs == matching.pairs
-
-    def test_partition_property(self):
-        rng = np.random.default_rng(53)
-        for _ in range(30):
-            rows, cols = rng.integers(1, 6, size=2)
-            similarity = rng.uniform(-1.0, 1.0, size=(rows, cols))
-            gated = gate_assignment(
-                hungarian(1.0 - similarity), similarity, 0.3
-            )
-            track_seen = sorted([i for i, _ in gated.pairs] + gated.unmatched_tracks)
-            det_seen = sorted([j for _, j in gated.pairs] + gated.unmatched_detections)
-            assert track_seen == list(range(rows))
-            assert det_seen == list(range(cols))

@@ -110,6 +110,20 @@ class TestTrack:
         assert main(["track", "--detections", str(bad), "--out", str(tmp_path / "r.txt")]) == 1
         assert "missing #dim header" in capsys.readouterr().err
 
+    # The noise draws are finite but their squared norm overflows, which
+    # numpy reports before normalize rescales the vector.
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_finite_embedding_noise_tracks(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text("n_frames=3\nn_leaves=2\nembedding_dim=4\nembedding_noise_std=1e300\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        det_path = out_dir / "det.txt"
+        assert main(["track", "--detections", str(det_path), "--out", str(tmp_path / "r.txt")]) == 0
+        embeddings = np.loadtxt(det_path, delimiter=",", comments="#", ndmin=2)[:, 7:]
+        assert embeddings.shape == (6, 4)
+        assert np.linalg.norm(embeddings, axis=1) == pytest.approx(1.0, abs=1e-12)
+
     def test_missing_detections_is_usage_error(self, tmp_path):
         code = main(
             ["track", "--detections", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "r.txt")]

@@ -4,12 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frond import (
     BBox,
     Detection,
     MemoryBank,
     ScenarioConfig,
+    Track,
     TrackerParams,
     generate,
     normalize,
@@ -27,6 +30,34 @@ def axis(dim: int, index: int, sign: float = 1.0) -> np.ndarray:
 
 def det(embedding, conf: float = 1.0, u: float = 0.0) -> Detection:
     return Detection(BBox(u, 0.0, 10.0, 10.0), conf, np.asarray(embedding, dtype=float))
+
+
+# Small integer components in 3-d make equal similarities, and so solver
+# ties and gate-boundary pairs, common.
+EMBEDDINGS = st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any)
+
+
+@st.composite
+def step_inputs(draw):
+    """A live bank (ages within tau_a, ids ascending), a frame of detections, params."""
+    tau_a = draw(st.integers(0, 3))
+    params = TrackerParams(
+        tau_s=draw(st.sampled_from([-1.0, 0.0, 0.3, 0.5, 1.0])),
+        tau_a=tau_a,
+        conf_min=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        ema_mode=draw(st.sampled_from(["ema", "mean"])),
+    )
+    bank = MemoryBank(next_id=1, dim=3)
+    for _ in range(draw(st.integers(0, 5))):
+        prototype = normalize(draw(EMBEDDINGS))
+        bank.tracks.append(Track(bank.next_id, prototype, draw(st.integers(0, tau_a)), 0, prototype))
+        bank.next_id += draw(st.integers(1, 3))
+    confidences = st.sampled_from([0.2, 0.5, 0.9])
+    detections = [
+        Detection(BBox(10.0 * k, 0.0, 5.0, 5.0), draw(confidences), np.array(e, dtype=float))
+        for k, e in enumerate(draw(st.lists(EMBEDDINGS, max_size=6)))
+    ]
+    return bank, detections, params
 
 
 class TestParams:
@@ -283,6 +314,31 @@ class TestStep:
             surviving = [j for j, d in enumerate(dets) if d.confidence >= params.conf_min]
             labeled = sorted(j for _, j, _ in result.assignments)
             assert labeled == surviving
+
+    @settings(max_examples=300, deadline=None)
+    @given(step_inputs())
+    def test_property_step_accounts_for_every_track_and_detection(self, inputs):
+        bank, detections, params = inputs
+        before = {t.track_id: (t, t.age) for t in bank.tracks}
+        first_new_id = bank.next_id
+        result = step(bank, detections, params, frame=1)
+
+        kept = [j for j, d in enumerate(detections) if d.confidence >= params.conf_min]
+        assert sorted(j for _, j, _ in result.assignments) == kept
+        labelled = {track_id for track_id, _, _ in result.assignments}
+        for track_id, (track, age) in before.items():
+            if track_id in labelled:
+                assert track.age == 0
+            else:
+                assert track.age == age + 1
+        assert result.pruned_track_ids == sorted(
+            track_id for track_id, (track, _) in before.items() if track.age > params.tau_a
+        )
+        assert result.new_track_ids == list(range(first_new_id, bank.next_id))
+        survivors = [tid for tid in before if tid not in result.pruned_track_ids]
+        assert [t.track_id for t in bank.tracks] == survivors + result.new_track_ids
+        det_of_new = {tid: j for tid, j, _ in result.assignments if tid in result.new_track_ids}
+        assert [det_of_new[tid] for tid in result.new_track_ids] == sorted(det_of_new.values())
 
     def test_matching_ignores_detection_order(self):
         params = TrackerParams(tau_s=-1.0)
