@@ -56,13 +56,10 @@ _EXPORTS = {
         "LeafAccuracyMatrix",
         "MatchTable",
         "MetricReport",
-        "ass_a",
         "daily_accuracy",
-        "det_a",
         "evaluate",
         "format_report",
         "format_report_machine",
-        "id_switches",
         "leaf_accuracy_matrix",
         "match_frames",
         "report_from_table",

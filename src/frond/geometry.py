@@ -29,27 +29,18 @@ class BBox:
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
 
-    @property
-    def u2(self) -> float:
-        return self.u + self.w
 
-    @property
-    def v2(self) -> float:
-        return self.v + self.h
+def _corners(boxes: Sequence[BBox]) -> np.ndarray:
+    """(n, 4) array of (u, v, u + w, v + h), the sums taken in Python floats."""
+    return np.array([(b.u, b.v, b.u + b.w, b.v + b.h) for b in boxes])
 
 
 def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     """Pairwise IoU between two box lists as a (len(a), len(b)) array."""
     if not boxes_a or not boxes_b:
         return np.zeros((len(boxes_a), len(boxes_b)))
-    au1 = np.array([b.u for b in boxes_a])[:, None]
-    av1 = np.array([b.v for b in boxes_a])[:, None]
-    au2 = np.array([b.u2 for b in boxes_a])[:, None]
-    av2 = np.array([b.v2 for b in boxes_a])[:, None]
-    bu1 = np.array([b.u for b in boxes_b])[None, :]
-    bv1 = np.array([b.v for b in boxes_b])[None, :]
-    bu2 = np.array([b.u2 for b in boxes_b])[None, :]
-    bv2 = np.array([b.v2 for b in boxes_b])[None, :]
+    au1, av1, au2, av2 = _corners(boxes_a).T[:, :, None]
+    bu1, bv1, bu2, bv2 = _corners(boxes_b).T[:, None, :]
     iw = np.clip(np.minimum(au2, bu2) - np.maximum(au1, bu1), 0.0, None)
     ih = np.clip(np.minimum(av2, bv2) - np.maximum(av1, bv1), 0.0, None)
     inter = iw * ih

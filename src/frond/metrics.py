@@ -2,7 +2,10 @@
 
 All metrics run at a single localization threshold: a prediction counts
 as a true positive only where a per-frame minimum-cost matching pairs it
-with a ground-truth box at IoU >= iou_threshold.
+with a ground-truth box at IoU >= iou_threshold.  match_frames builds that
+table; report_from_table is the one reduction of it to DetA, AssA, HOTA,
+MOTA, IDF1 and ID switches, and counts the (gt, pred) identity pairs once
+for both the AssA and the IDF1 bijection.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from .tracker import TrackedBox
 CELL_CORRECT = 1
 CELL_FAILURE = 0
 CELL_ABSENT = -1
+CELL_IOU_MIN = 0.75  # a correct leaf-matrix cell also needs this overlap
 
 
 @dataclass(frozen=True)
@@ -163,25 +167,6 @@ def match_frames(
     return MatchTable(frames=frames, matches=matches, misses=misses, false_alarms=false_alarms)
 
 
-def det_a(table: MatchTable) -> float:
-    """Detection accuracy TP / (TP + FP + FN); vacuously 1.0 on empty input."""
-    tp, fp, fn = table.tp, table.fp, table.fn
-    if tp + fp + fn == 0:
-        return 1.0
-    return tp / (tp + fp + fn)
-
-
-def _establishment(table: MatchTable) -> dict:
-    """First frame each prediction id appears in, matched or not."""
-    first: dict = {}
-    for frame in table.frames:
-        for _, pred_id, _ in table.matches[frame]:
-            first.setdefault(pred_id, frame)
-        for pred_id in table.false_alarms[frame]:
-            first.setdefault(pred_id, frame)
-    return first
-
-
 def _pair_counts(table: MatchTable) -> dict:
     """Number of true positives per (gt_id, pred_id) pair."""
     counts: dict = defaultdict(int)
@@ -191,15 +176,22 @@ def _pair_counts(table: MatchTable) -> dict:
     return counts
 
 
-def _majority_bijection(table: MatchTable) -> dict:
-    """One-to-one gt -> pred map from majority vote over true positives.
+def _association_accuracy(table: MatchTable, counts: dict) -> float:
+    """AssA under the majority-vote identity bijection.
 
-    Candidate pairs are taken in order of descending match count; count
-    ties prefer the earlier-established prediction id.  Each gt and each
-    pred id is used at most once.
+    The bijection takes candidate pairs in order of descending match
+    count; count ties prefer the earlier-established prediction id.  Each
+    gt and each pred id is used at most once.  Each frame with at least
+    one TP contributes the fraction of its TPs whose (gt, pred) pair
+    agrees with the bijection; frames without TPs are skipped.  Returns
+    0.0 when no TP exists at all.
     """
-    counts = _pair_counts(table)
-    established = _establishment(table)
+    established: dict = {}  # first frame of each prediction id, matched or not
+    for frame in table.frames:
+        for _, pred_id, _ in table.matches[frame]:
+            established.setdefault(pred_id, frame)
+        for pred_id in table.false_alarms[frame]:
+            established.setdefault(pred_id, frame)
     ranked = sorted(
         counts.items(),
         key=lambda item: (-item[1], established[item[0][1]], item[0][0], item[0][1]),
@@ -211,50 +203,21 @@ def _majority_bijection(table: MatchTable) -> dict:
             continue
         bijection[gt_id] = pred_id
         used_preds.add(pred_id)
-    return bijection
-
-
-def ass_a(table: MatchTable) -> float:
-    """Association accuracy under the majority-vote identity bijection.
-
-    Each frame with at least one TP contributes the fraction of its TPs
-    whose (gt, pred) pair agrees with the bijection; frames without TPs
-    are skipped.  Returns 0.0 when no TP exists at all.
-    """
-    bijection = _majority_bijection(table)
     ratios = []
     for frame in table.frames:
         rows = table.matches[frame]
-        if not rows:
-            continue
-        agree = sum(1 for gt_id, pred_id, _ in rows if bijection.get(gt_id) == pred_id)
-        ratios.append(agree / len(rows))
-    if not ratios:
-        return 0.0
-    return sum(ratios) / len(ratios)
+        if rows:
+            agree = sum(1 for gt_id, pred_id, _ in rows if bijection.get(gt_id) == pred_id)
+            ratios.append(agree / len(rows))
+    return sum(ratios) / len(ratios) if ratios else 0.0
 
 
-def id_switches(table: MatchTable) -> int:
-    """Count TPs whose prediction id differs from the gt's most recent prior TP."""
-    switches = 0
-    last_pred: dict = {}
-    for frame in table.frames:
-        for gt_id, pred_id, _ in table.matches[frame]:
-            if gt_id in last_pred and last_pred[gt_id] != pred_id:
-                switches += 1
-            last_pred[gt_id] = pred_id
-    return switches
-
-
-def _idf1_counts(table: MatchTable):
-    """(idtp, idfp, idfn, bijection) under the optimal identity bijection.
+def _idf1_counts(counts: dict):
+    """(idtp, bijection) under the optimal identity bijection.
 
     The bijection maximizes the summed per-pair TP counts (minimum-cost
     assignment on negated counts).
     """
-    counts = _pair_counts(table)
-    total_gt = table.tp + table.fn
-    total_pred = table.tp + table.fp
     bijection: dict = {}
     idtp = 0
     if counts:
@@ -269,7 +232,7 @@ def _idf1_counts(table: MatchTable):
             if matrix[gi, pj] > 0:
                 bijection[gt_ids[gi]] = pred_ids[pj]
                 idtp += int(matrix[gi, pj])
-    return idtp, total_pred - idtp, total_gt - idtp, bijection
+    return idtp, bijection
 
 
 @dataclass(frozen=True)
@@ -293,25 +256,38 @@ class MetricReport:
 def report_from_table(table: MatchTable) -> MetricReport:
     """Every metric of one matched table; MOTA is unclamped and may go negative.
 
+    An identity switch is a TP whose prediction id differs from its gt's
+    most recent prior TP, so a clean gap does not count.
+
     Raises:
         ValueError: on empty ground truth, checked before any division.
     """
-    total_gt = table.tp + table.fn
+    tp, fp, fn = table.tp, table.fp, table.fn
+    total_gt = tp + fn
     if total_gt == 0:
         raise ValueError("empty ground truth")
-    deta = det_a(table)
-    assa = ass_a(table)
-    idtp, idfp, idfn, _ = _idf1_counts(table)
-    idsw = id_switches(table)
+    counts = _pair_counts(table)
+    assa = _association_accuracy(table, counts)
+    idtp, _ = _idf1_counts(counts)
+    idsw = 0
+    last_pred: dict = {}
+    for frame in table.frames:
+        for gt_id, pred_id, _ in table.matches[frame]:
+            if gt_id in last_pred and last_pred[gt_id] != pred_id:
+                idsw += 1
+            last_pred[gt_id] = pred_id
+    deta = tp / (tp + fp + fn)
+    idfp = tp + fp - idtp
+    idfn = total_gt - idtp
     return MetricReport(
         hota=math.sqrt(deta * assa),
         deta=deta,
         assa=assa,
-        mota=1.0 - (table.fn + table.fp + idsw) / total_gt,
+        mota=1.0 - (fn + fp + idsw) / total_gt,
         idf1=2.0 * idtp / (2.0 * idtp + idfp + idfn),
-        tp=table.tp,
-        fp=table.fp,
-        fn=table.fn,
+        tp=tp,
+        fp=fp,
+        fn=fn,
         idsw=idsw,
         idtp=idtp,
         idfp=idfp,
@@ -341,14 +317,14 @@ class LeafAccuracyMatrix:
     cells: np.ndarray
 
 
-def leaf_accuracy_matrix(table: MatchTable, iou_min: float = 0.75) -> LeafAccuracyMatrix:
+def leaf_accuracy_matrix(table: MatchTable) -> LeafAccuracyMatrix:
     """Grade every annotated leaf-frame cell of a matched sequence.
 
     A cell is correct when its TP match carries the leaf's persistent
-    identity (the idf1 bijection) and overlaps at IoU >= iou_min; any
-    other annotated cell is a failure; unannotated cells are absent.
+    identity (the idf1 bijection) and overlaps at IoU >= CELL_IOU_MIN;
+    any other annotated cell is a failure; unannotated cells are absent.
     """
-    _, _, _, bijection = _idf1_counts(table)
+    _, bijection = _idf1_counts(_pair_counts(table))
     frames = list(table.frames)
     leaf_ids = sorted(
         {gt_id for frame in frames for gt_id, _, _ in table.matches[frame]}
@@ -360,7 +336,7 @@ def leaf_accuracy_matrix(table: MatchTable, iou_min: float = 0.75) -> LeafAccura
         for gt_id in table.misses[frame]:
             cells[row_of[gt_id], j] = CELL_FAILURE
         for gt_id, pred_id, overlap in table.matches[frame]:
-            correct = bijection.get(gt_id) == pred_id and overlap >= iou_min
+            correct = bijection.get(gt_id) == pred_id and overlap >= CELL_IOU_MIN
             cells[row_of[gt_id], j] = CELL_CORRECT if correct else CELL_FAILURE
     return LeafAccuracyMatrix(leaf_ids=leaf_ids, frames=frames, cells=cells)
 

@@ -50,7 +50,7 @@ class TrackerParams:
     def __post_init__(self):
         if not -1.0 <= self.tau_s <= 1.0:
             raise ValueError(f"tau_s must lie in [-1, 1], got {self.tau_s}")
-        if self.tau_a < 0 or int(self.tau_a) != self.tau_a:
+        if not (math.isfinite(self.tau_a) and self.tau_a >= 0 and int(self.tau_a) == self.tau_a):
             raise ValueError(f"tau_a must be a non-negative integer, got {self.tau_a}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
@@ -179,10 +179,15 @@ def _absorb(track: Track, embedding: np.ndarray, params: TrackerParams) -> None:
     # Rebind, never update in place: a new track's two fields share one array.
     if params.ema_mode == "ema":
         blended = params.alpha * track.prototype + (1.0 - params.alpha) * embedding
-        track.prototype = normalize(blended)
     else:
-        track.embedding_sum = track.embedding_sum + embedding
-        track.prototype = normalize(track.embedding_sum)
+        track.embedding_sum = blended = track.embedding_sum + embedding
+    try:
+        track.prototype = normalize(blended)
+    except ValueError:
+        # The blend of finite unit vectors can only fail as the zero vector: a
+        # match opposite to its prototype (a gate at tau_s = -1 admits one)
+        # cancels it.  The prototype then takes the detection's embedding.
+        track.prototype = embedding.copy()
 
 
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:

@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from frond import (
     CELL_ABSENT,
@@ -13,13 +15,10 @@ from frond import (
     BBox,
     GtAnnotation,
     TrackedBox,
-    ass_a,
     daily_accuracy,
-    det_a,
     evaluate,
     format_report,
     format_report_machine,
-    id_switches,
     leaf_accuracy_matrix,
     match_frames,
     report_from_table,
@@ -93,6 +92,30 @@ def clustered_scene(rng, n_frames=4):
                 tid += 1
                 box = BBox(u, rng.uniform(-2, 2), *rng.uniform(18.0, 22.0, size=2))
                 pred.append(TrackedBox(f, tid, box))
+    return gt, pred
+
+
+@st.composite
+def slotted_scene(draw):
+    """At most 3 frames and 4 boxes a side per frame, each frame with one
+    best matching.
+
+    Every gt box has its own slot, 100 px from the next.  A prediction
+    sits in a slot at offset 0, 2 or 6 px (IoU 1, 2/3 or 1/4 with a gt
+    there), at most one per (slot, offset), so no two matchings of a
+    frame tie and the brute-force oracle pairs the same ids.
+    """
+    gt, pred = [], []
+    for frame in range(1, draw(st.integers(1, 3)) + 1):
+        leaves = draw(st.lists(st.integers(1, 4), unique=True, max_size=4))
+        for leaf, slot in zip(leaves, draw(st.permutations(range(4)))):
+            gt.append(g(frame, leaf, u=100.0 * slot))
+        places = st.tuples(st.integers(0, 3), st.sampled_from([0.0, 2.0, 6.0]))
+        spots = draw(st.lists(places, unique=True, max_size=4))
+        tids = draw(st.lists(st.integers(1, 5), unique=True, min_size=len(spots), max_size=len(spots)))
+        for tid, (slot, du) in zip(tids, spots):
+            pred.append(p(frame, tid, u=100.0 * slot + du))
+    assume(gt)
     return gt, pred
 
 
@@ -204,24 +227,22 @@ class TestDetA:
         pred = [p(f, 1) for f in range(1, 9)] + [p(9, 1, u=500.0)]
         table = match_frames(gt, pred)
         assert (table.tp, table.fn, table.fp) == (8, 1, 1)
-        assert det_a(table) == pytest.approx(0.8, abs=1e-12)
+        assert report_from_table(table).deta == pytest.approx(0.8, abs=1e-12)
 
     def test_empty_pred_is_zero(self):
         table = match_frames([g(f, 1) for f in range(1, 5)], [])
-        assert det_a(table) == 0.0
-
-    def test_empty_everything_is_one(self):
-        assert det_a(match_frames([], [])) == 1.0
+        assert report_from_table(table).deta == 0.0
 
     def test_invariant_under_id_relabeling(self):
         gt, pred = perfect(6, 2)
         shuffled = [TrackedBox(r.frame, r.track_id + 40, r.box) for r in pred]
-        assert det_a(match_frames(gt, shuffled)) == det_a(match_frames(gt, pred))
+        deta = report_from_table(match_frames(gt, pred)).deta
+        assert report_from_table(match_frames(gt, shuffled)).deta == deta
 
     def test_dropping_a_tp_lowers_it(self):
         gt, pred = perfect(5, 1)
         damaged = [r for r in pred if r.frame != 3]
-        assert det_a(match_frames(gt, damaged)) == pytest.approx(0.8, abs=1e-12)
+        assert report_from_table(match_frames(gt, damaged)).deta == pytest.approx(0.8, abs=1e-12)
 
 
 class TestAssA:
@@ -230,7 +251,7 @@ class TestAssA:
         # eight of ten TP frames.
         gt = [g(f, 1) for f in range(1, 11)]
         pred = [p(f, 1) for f in range(1, 9)] + [p(f, 2) for f in (9, 10)]
-        assert ass_a(match_frames(gt, pred)) == pytest.approx(0.8, abs=1e-12)
+        assert report_from_table(match_frames(gt, pred)).assa == pytest.approx(0.8, abs=1e-12)
 
     def test_halfway_swap(self):
         gt, pred = [], []
@@ -240,15 +261,15 @@ class TestAssA:
                 pred += [p(f, 1, u=0.0), p(f, 2, u=100.0)]
             else:
                 pred += [p(f, 2, u=0.0), p(f, 1, u=100.0)]
-        assert ass_a(match_frames(gt, pred)) == pytest.approx(0.5, abs=1e-12)
+        assert report_from_table(match_frames(gt, pred)).assa == pytest.approx(0.5, abs=1e-12)
 
     def test_perfect_is_one(self):
         gt, pred = perfect(7, 3)
-        assert ass_a(match_frames(gt, pred)) == 1.0
+        assert report_from_table(match_frames(gt, pred)).assa == 1.0
 
     def test_no_tp_is_zero(self):
         table = match_frames([g(1, 1)], [p(1, 1, u=900.0)])
-        assert ass_a(table) == 0.0
+        assert report_from_table(table).assa == 0.0
 
 
 class TestHota:
@@ -257,9 +278,9 @@ class TestHota:
         for _ in range(25):
             gt, pred = random_scene(rng)
             table = match_frames(gt, pred)
-            d, a, h = det_a(table), ass_a(table), report_from_table(table).hota
-            assert h == pytest.approx(math.sqrt(d * a), abs=1e-12)
-            assert 0.0 <= h <= 1.0
+            report = report_from_table(table)
+            assert report.hota == pytest.approx(math.sqrt(report.deta * report.assa), abs=1e-12)
+            assert 0.0 <= report.hota <= 1.0
 
     def test_known_fixture(self):
         gt = [g(f, 1) for f in range(1, 11)]
@@ -276,15 +297,16 @@ class TestMota:
         pred += [p(f, 2) for f in range(6, 11)]
         table = match_frames(gt, pred)
         assert (table.tp, table.fn, table.fp) == (9, 1, 1)
-        assert id_switches(table) == 1
-        assert report_from_table(table).mota == pytest.approx(0.7, abs=1e-12)
+        report = report_from_table(table)
+        assert report.idsw == 1
+        assert report.mota == pytest.approx(0.7, abs=1e-12)
 
     def test_switch_counted_across_gap_only_on_change(self):
         gt = [g(f, 1) for f in range(1, 11)]
         same = [p(f, 1) for f in range(1, 5)] + [p(f, 1) for f in range(7, 11)]
         other = [p(f, 1) for f in range(1, 5)] + [p(f, 2) for f in range(7, 11)]
-        assert id_switches(match_frames(gt, same)) == 0
-        assert id_switches(match_frames(gt, other)) == 1
+        assert report_from_table(match_frames(gt, same)).idsw == 0
+        assert report_from_table(match_frames(gt, other)).idsw == 1
 
     def test_unclamped_below_zero(self):
         gt = [g(1, 1)]
@@ -351,6 +373,28 @@ class TestEvaluate:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="empty ground truth"):
             evaluate([], [p(1, 1)])
+
+
+class TestReportCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(slotted_scene())
+    def test_property_counts_add_up(self, scene):
+        gt, pred = scene
+        report = report_from_table(match_frames(gt, pred))
+        assert report.tp + report.fn == len(gt)
+        assert report.tp + report.fp == len(pred)
+        assert report.idtp + report.idfp == report.tp + report.fp
+        assert report.idtp + report.idfn == report.tp + report.fn
+        assert report.idtp <= report.tp
+        tp_pairs, _, _ = match_counts(gt, pred)
+        last: dict = {}
+        switches = 0
+        for frame in sorted(tp_pairs):
+            for gt_id, pred_id in tp_pairs[frame]:
+                if gt_id in last and last[gt_id] != pred_id:
+                    switches += 1
+                last[gt_id] = pred_id
+        assert report.idsw == switches
 
 
 class TestLeafMatrix:

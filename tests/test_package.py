@@ -21,6 +21,9 @@ DELETED_NAMES = (
     "idf1",
     "iou",
     "LeafModel",
+    "det_a",
+    "ass_a",
+    "id_switches",
 )
 SRC = str(Path(frond.__file__).resolve().parents[1])
 

@@ -96,6 +96,12 @@ class TestParams:
             TrackerParams(conf_min=math.nan)
         assert str(err.value) == "conf_min must be non-negative, got nan"
 
+    @pytest.mark.parametrize("tau_a", [math.inf, math.nan])
+    def test_non_finite_tau_a_rejected_with_exact_message(self, tau_a):
+        with pytest.raises(ValueError) as err:
+            TrackerParams(tau_a=tau_a)
+        assert str(err.value) == f"tau_a must be a non-negative integer, got {tau_a}"
+
 
 class TestDetection:
     def test_embedding_normalized_at_construction(self):
@@ -237,6 +243,17 @@ class TestStep:
                     matched += 1
                 assert np.array_equal(after[track_id], expected)
         assert matched > 50
+
+    @pytest.mark.parametrize("ema_mode", ["ema", "mean"])
+    def test_opposite_match_takes_the_detection_embedding(self, ema_mode):
+        # At tau_s = -1 a detection opposite to the prototype still matches;
+        # the blend (alpha = 0.5) or the running sum cancels to zero.
+        params = TrackerParams(tau_s=-1.0, ema_mode=ema_mode)
+        bank = MemoryBank()
+        step(bank, [det(axis(3, 0))], params, 1)
+        result = step(bank, [det(axis(3, 0, sign=-1.0))], params, frame=2)
+        assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
+        assert np.array_equal(bank.tracks[0].prototype, axis(3, 0, sign=-1.0))
 
     def test_gated_detection_founds_new_track(self):
         params = TrackerParams()
