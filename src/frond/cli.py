@@ -53,7 +53,7 @@ def _cmd_simulate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gt, det, truth_map = generate(config)
-    fileio.write_detections(det, out_dir / "det.txt")
+    fileio.write_detections(det, out_dir / "det.txt", config.embedding_dim)
     fileio.write_gt(gt, out_dir / "gt.txt")
     fileio.write_truth_map(truth_map, out_dir / "truth_map.txt")
     n_det = sum(len(rows) for rows in det.values())

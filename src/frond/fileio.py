@@ -1,7 +1,9 @@
-"""Line-oriented text formats: detections, ground truth, tracker results,
-truth maps, triplet lists, key-value configs, and the per-leaf accuracy CSV.
+"""File formats: detections, ground truth, tracker results, truth maps,
+triplet lists, key-value configs, and the per-leaf accuracy CSV.
 
-Floats are written with shortest round-trip formatting, files end with a
+Every format is line-oriented text except the detection embeddings, which
+go to a binary `.npy` sidecar beside the detection file.  Floats are
+written with shortest round-trip formatting, text files end with a
 trailing newline, and line endings are always LF, so equal inputs produce
 byte-identical files.  Every comma-separated format is read through one
 row loop, so a bad line is reported the same way in each of them.
@@ -23,7 +25,7 @@ from .metrics import CELL_ABSENT, CELL_CORRECT, GtAnnotation, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
 from .tracker import Detection, FrameResult, TrackedBox, TrackerParams, tracked_boxes
 
-_HEADER_RE = re.compile(r"#dim=([0-9]+)")
+_HEADER_RE = re.compile(r"#dim=([0-9]+)(?:;empty=([0-9]+(?:,[0-9]+)*))?")
 _GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
 _RESULT_FIELDS = ("frame", "track id", "x", "y", "w", "h", "confidence")
 _TRUTH_MAP_FIELDS = ("frame", "detection index", "leaf id")
@@ -110,18 +112,49 @@ def _write_lines(path, lines: list[str]) -> None:
 
 
 # ---------------------------------------------------------------------------
-# detections: "#dim=D" header, then frame,track_id,x,y,w,h,conf,e_1..e_D
+# detections: "#dim=D" or "#dim=D;empty=F1,F2,..." header, then
+# frame,track_id,x,y,w,h,conf; the embeddings are one (rows, D) float64
+# array in the .npy sidecar, row i belonging to data line i + 2
 # ---------------------------------------------------------------------------
 
-def read_detections(path) -> dict[int, list[Detection]]:
-    """Read a detection file into frame -> detection list.
+def _sidecar(path) -> Path:
+    return Path(path).with_suffix(".npy")
 
-    Embeddings are L2-normalized on load.  Raw (untracked) rows carry
-    track id -1; the id column is validated but otherwise ignored.
+
+def _read_embeddings(path, rows: int, dim: int) -> np.ndarray:
+    """The sidecar of the detection file at path, checked to be a (rows, dim) float64 array."""
+    sidecar = _sidecar(path)
+    try:
+        with open(sidecar, "rb") as handle:
+            embeddings = np.load(handle, allow_pickle=False)
+    except FileNotFoundError:
+        raise ValueError(f"{sidecar}: missing embedding sidecar of {path}") from None
+    except (ValueError, EOFError) as err:
+        raise ValueError(f"{sidecar}: {err}") from None
+    if not isinstance(embeddings, np.ndarray):
+        raise ValueError(f"{sidecar}: expected one .npy array, got {type(embeddings).__name__}")
+    if embeddings.dtype != np.float64:
+        raise ValueError(f"{sidecar}: embeddings must be a float64 array, got {embeddings.dtype}")
+    if embeddings.shape != (rows, dim):
+        raise ValueError(
+            f"{sidecar}: expected embeddings of shape {(rows, dim)} for {path}, "
+            f"got {embeddings.shape}"
+        )
+    return embeddings
+
+
+def read_detections(path) -> dict[int, list[Detection]]:
+    """Read a detection file and its embedding sidecar into frame -> detection list.
+
+    Frames the header lists as empty read back with an empty list, so the
+    keys are exactly those of the mapping that was written.  Embeddings
+    are L2-normalized on load.  Raw (untracked) rows carry track id -1;
+    the id column is validated but otherwise ignored.
 
     Raises:
         ValueError: naming the offending line on any malformed field,
-            a missing header, or decreasing frame indices.
+            a missing header, or decreasing frame indices, and naming the
+            sidecar when it is missing or not a (rows, D) float64 array.
     """
     lines = Path(path).read_text().splitlines()
     if not lines:
@@ -132,46 +165,64 @@ def read_detections(path) -> dict[int, list[Detection]]:
     dim = int(header.group(1))
     if dim < 1:
         raise ValueError(f"{path}:1: embedding dimension must be at least 1")
-    names = _RESULT_FIELDS + ("embedding component",) * dim
-    float_names = names[2:]
     frames: dict[int, list[Detection]] = {}
+    last_frame = 0
+    for token in header.group(2).split(",") if header.group(2) else ():
+        frame = _frame(token, path, 1)
+        if frame <= last_frame:
+            raise ValueError(f"{path}:1: empty frames must be strictly ascending")
+        last_frame = frame
+        frames[frame] = []
+    empty = set(frames)
+    embeddings = _read_embeddings(path, len(lines) - 1, dim)
     last_frame = 1
-    for lineno, fields in _rows(path, lines[1:], names, first_lineno=2):
+    for lineno, fields in _rows(path, lines[1:], _RESULT_FIELDS, first_lineno=2):
         frame = _frame(fields[0], path, lineno)
         if frame < last_frame:
             raise ValueError(f"{path}:{lineno}: frames must be non-decreasing")
+        if frame in empty:
+            raise ValueError(f"{path}:{lineno}: frame {frame} is listed as empty in the header")
         last_frame = frame
         _parse_int(fields[1], path, lineno, "track id")
-        values = _floats(fields[2:], float_names, path, lineno)
-        x, y, w, h, conf = values[:5]
+        x, y, w, h, conf = _floats(fields[2:], _RESULT_FIELDS[2:], path, lineno)
         try:
-            detection = Detection(BBox(x, y, w, h), conf, np.array(values[5:]))
+            detection = Detection(BBox(x, y, w, h), conf, embeddings[lineno - 2])
         except ValueError as err:
             raise ValueError(f"{path}:{lineno}: {err}") from None
         frames.setdefault(frame, []).append(detection)
-    return frames
+    return dict(sorted(frames.items()))
 
 
-def write_detections(frames: Mapping[int, list[Detection]], path) -> None:
-    """Write a detection sequence; raw rows get track id -1.
+def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | None = None) -> None:
+    """Write box rows to path and the embeddings to its .npy sidecar; raw rows get track id -1.
 
-    A frame whose detection list is empty produces no lines, so it is
-    indistinguishable from an absent frame on read-back.
+    Frames whose detection list is empty are listed in the header, so they
+    read back.  dim is the embedding dimension; it may be omitted when a
+    detection carries one, and must match it otherwise.
     """
+    sidecar = _sidecar(path)
+    if sidecar == Path(path):
+        raise ValueError(f"{path}: the embedding sidecar would overwrite the detection file")
     dims = {det.embedding.shape[0] for dets in frames.values() for det in dets}
+    if dim is not None:
+        dims.add(dim)
     if len(dims) > 1:
         raise ValueError(f"mixed embedding dimensions: {sorted(dims)}")
     if not dims:
         raise ValueError("empty detection sequence: embedding dimension unknown")
     (dim,) = dims
-    lines = [f"#dim={dim}"]
+    empty = [str(frame) for frame in sorted(frames) if not frames[frame]]
+    lines = [f"#dim={dim};empty={','.join(empty)}" if empty else f"#dim={dim}"]
+    embeddings = []
     for frame in sorted(frames):
         for det in frames[frame]:
             box = det.box
             values = [_fmt(box.u), _fmt(box.v), _fmt(box.w), _fmt(box.h), _fmt(det.confidence)]
-            values += [_fmt(component) for component in det.embedding]
             lines.append(f"{frame},-1," + ",".join(values))
+            embeddings.append(det.embedding)
     _write_lines(path, lines)
+    array = np.array(embeddings, dtype=np.float64).reshape(len(embeddings), dim)
+    np.save(sidecar, array, allow_pickle=False)
 
 
 # ---------------------------------------------------------------------------

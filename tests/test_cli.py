@@ -3,7 +3,18 @@
 import numpy as np
 import pytest
 
-from frond import BBox, GtAnnotation, read_results, read_triplets, write_gt
+from frond import (
+    BBox,
+    GtAnnotation,
+    TrackerParams,
+    generate,
+    read_results,
+    read_scenario_config,
+    read_triplets,
+    run_sequence,
+    tracked_boxes,
+    write_gt,
+)
 from frond.cli import main
 
 CLEAN_SCENARIO = (
@@ -120,7 +131,7 @@ class TestTrack:
         assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
         det_path = out_dir / "det.txt"
         assert main(["track", "--detections", str(det_path), "--out", str(tmp_path / "r.txt")]) == 0
-        embeddings = np.loadtxt(det_path, delimiter=",", comments="#", ndmin=2)[:, 7:]
+        embeddings = np.load(out_dir / "det.npy")
         assert embeddings.shape == (6, 4)
         assert np.linalg.norm(embeddings, axis=1) == pytest.approx(1.0, abs=1e-12)
 
@@ -129,6 +140,37 @@ class TestTrack:
             ["track", "--detections", str(tmp_path / "nope.txt"), "--out", str(tmp_path / "r.txt")]
         )
         assert code == 2
+
+    def test_missing_sidecar_is_data_error(self, pipeline, tmp_path, capsys):
+        out_dir, _ = pipeline
+        (out_dir / "det.npy").unlink()
+        det_path = out_dir / "det.txt"
+        code = main(["track", "--detections", str(det_path), "--out", str(tmp_path / "r.txt")])
+        assert code == 1
+        assert f"error: {out_dir / 'det.npy'}: missing embedding sidecar" in capsys.readouterr().err
+
+    def test_occluded_frames_track_as_in_memory(self, tmp_path):
+        # Both leaves are hidden in frames 5-12, so those frames hold no
+        # detection; the tracks must age through them as run_sequence does.
+        config = tmp_path / "scene.cfg"
+        config.write_text("n_frames=20\nn_leaves=2\nocclusion_windows=1:5:12,2:5:12\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        results = tmp_path / "results.txt"
+        assert main(["track", "--detections", str(out_dir / "det.txt"), "--out", str(results)]) == 0
+        _, det, _ = generate(read_scenario_config(config))
+        assert read_results(results) == tracked_boxes(run_sequence(det, TrackerParams()))
+
+    @pytest.mark.parametrize("setting", ["miss_prob=1.0", "occlusion_prob=1.0"])
+    def test_scene_without_detections_tracks(self, tmp_path, setting):
+        config = tmp_path / "scene.cfg"
+        config.write_text(f"n_frames=4\nn_leaves=2\nembedding_dim=8\n{setting}\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        assert (out_dir / "det.txt").read_text() == "#dim=8;empty=1,2,3,4\n"
+        results = tmp_path / "results.txt"
+        assert main(["track", "--detections", str(out_dir / "det.txt"), "--out", str(results)]) == 0
+        assert results.read_text() == ""
 
 
 class TestEval:
@@ -180,6 +222,17 @@ class TestEval:
         res.write_text("1,1,0.0,0.0,5.0,5.0,1.0\n")
         assert main(["eval", "--gt", str(gt), "--results", str(res)]) == 1
         assert "empty ground truth" in capsys.readouterr().err
+
+    def test_scene_with_every_detection_missed_scores_zero(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text("n_frames=4\nn_leaves=2\nembedding_dim=8\nmiss_prob=1.0\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        results = tmp_path / "results.txt"
+        assert main(["track", "--detections", str(out_dir / "det.txt"), "--out", str(results)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results), "--machine"]) == 0
+        assert "tp=0\n" in capsys.readouterr().out
 
 
 class TestTriplets:

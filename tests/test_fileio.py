@@ -1,4 +1,4 @@
-"""Text formats: round-trips, validation messages, byte determinism."""
+"""File formats: round-trips, validation messages, byte determinism."""
 
 import dataclasses
 
@@ -26,6 +26,7 @@ from frond import (
     read_triplets,
     read_truth_map,
     run_sequence,
+    tracked_boxes,
     write_detections,
     write_gt,
     write_leaf_matrix_csv,
@@ -58,6 +59,40 @@ def error_message(reader, path, text):
     return str(err.value)
 
 
+def write_detection_pair(path, text, dim=2):
+    """Write a detection file and its sidecar from lines that end in dim embedding components.
+
+    The header and each data line's box columns go to path, and the
+    components to the .npy sidecar, one row per data line.  A line too
+    short to hold a box row and an embedding goes to path whole, with the
+    embedding (1, 0, ..., 0).
+    """
+    header, *lines = text.splitlines()
+    box_lines, embeddings = [header], []
+    for line in lines:
+        fields = line.split(",")
+        if len(fields) < 7 + dim:
+            box_lines.append(line)
+            embeddings.append(np.eye(dim)[0])
+        else:
+            box_lines.append(",".join(fields[:-dim]))
+            embeddings.append([float(token) for token in fields[-dim:]])
+    path.write_text("\n".join(box_lines) + "\n")
+    embeddings = np.array(embeddings, dtype=np.float64).reshape(len(lines), dim)
+    np.save(path.with_suffix(".npy"), embeddings)
+
+
+def detection_error(path, text):
+    """Write a detection pair as write_detection_pair does, read it back and return the error."""
+    write_detection_pair(path, text)
+    with pytest.raises(ValueError) as err:
+        read_detections(path)
+    return str(err.value)
+
+
+ONE_ROW = "#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9\n"
+
+
 class TestDetectionsFile:
     def test_round_trip_is_exact(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -80,9 +115,19 @@ class TestDetectionsFile:
         assert lines[0] == "#dim=4"
         assert lines[1].split(",")[1] == "-1"
 
+    def test_embeddings_go_to_one_float64_sidecar(self, tmp_path):
+        frames = sample_frames(np.random.default_rng(5), n_frames=2, per_frame=3, dim=4)
+        path = tmp_path / "det.txt"
+        write_detections(frames, path)
+        embeddings = np.load(tmp_path / "det.npy", allow_pickle=False)
+        assert embeddings.dtype == np.float64 and embeddings.flags.c_contiguous
+        expected = [det.embedding for f in sorted(frames) for det in frames[f]]
+        assert np.array_equal(embeddings, np.array(expected))
+        assert all(len(line.split(",")) == 7 for line in path.read_text().splitlines()[1:])
+
     def test_embeddings_normalized_on_load(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,3.0,4.0\n")
+        write_detection_pair(path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,3.0,4.0\n")
         loaded = read_detections(path)
         assert loaded[1][0].embedding == pytest.approx([0.6, 0.8], abs=1e-12)
 
@@ -122,19 +167,27 @@ class TestDetectionsFile:
 
     def test_field_count_names_line(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n1,-1,0.0,0.0,5.0\n")
-        with pytest.raises(ValueError, match=r"det\.txt:3: expected 9 fields, got 5"):
+        write_detection_pair(path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n1,-1,0.0,0.0,5.0\n")
+        with pytest.raises(ValueError, match=r"det\.txt:3: expected 7 fields, got 5"):
             read_detections(path)
+
+    def test_v1_row_rejected_by_field_count(self, tmp_path):
+        # A line of the old format, embedding components inline, with a
+        # sidecar that would fit it: there is no second parse path.
+        path = tmp_path / "det.txt"
+        np.save(tmp_path / "det.npy", np.array([[1.0, 0.0]]))
+        got = error_message(read_detections, path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n")
+        assert got == f"{path}:2: expected 7 fields, got 9"
 
     def test_malformed_float_names_line_and_token(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n1,-1,0.0,zero,5.0,5.0,0.9,1.0,0.0\n")
+        write_detection_pair(path, "#dim=2\n1,-1,0.0,zero,5.0,5.0,0.9,1.0,0.0\n")
         with pytest.raises(ValueError, match=r"det\.txt:2: malformed y: 'zero'"):
             read_detections(path)
 
     def test_non_finite_rejected(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n1,-1,0.0,0.0,5.0,5.0,nan,1.0,0.0\n")
+        write_detection_pair(path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,nan,1.0,0.0\n")
         with pytest.raises(ValueError, match="non-finite confidence"):
             read_detections(path)
 
@@ -145,48 +198,93 @@ class TestDetectionsFile:
             ("1,-1,0.0,0.0,5.0,5.0,nan,1.0,0.0", "non-finite confidence: 'nan'"),
             ("1,-1,inf,0.0,5.0,5.0,0.9,1.0,0.0", "non-finite x: 'inf'"),
             ("1,-1,-inf,zero,5.0,5.0,0.9,1.0,0.0", "non-finite x: '-inf'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0.1", "malformed embedding component: '0.0.1'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,inf", "non-finite embedding component: 'inf'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,-inf", "non-finite embedding component: '-inf'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,nan", "non-finite embedding component: 'nan'"),
+            # The last two components are the sidecar row.
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,inf", "non-finite embedding value"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,-inf", "non-finite embedding value"),
+            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,nan", "non-finite embedding value"),
         ],
     )
     def test_bad_float_message_is_exact(self, tmp_path, row, message):
         path = tmp_path / "det.txt"
-        path.write_text(f"#dim=2\n{row}\n")
-        with pytest.raises(ValueError) as err:
-            read_detections(path)
-        assert str(err.value) == f"{path}:2: {message}"
+        got = detection_error(path, f"#dim=2\n{row}\n")
+        assert got == f"{path}:2: {message}"
+
+    def test_zero_embedding_names_line(self, tmp_path):
+        path = tmp_path / "det.txt"
+        got = detection_error(
+            path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n1,-1,0.0,0.0,5.0,5.0,0.9,0.0,0.0\n"
+        )
+        assert got == f"{path}:3: cannot normalize a zero vector"
 
     def test_first_bad_line_is_reported(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text(
+        got = detection_error(
+            path,
             "#dim=2\n"
             "1,-1,0.0,0.0,5.0,5.0,0.9,1.0,nan\n"
             "1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n"
-            "2,-1,zero,0.0,5.0,5.0,0.9,1.0,0.0\n"
+            "2,-1,zero,0.0,5.0,5.0,0.9,1.0,0.0\n",
         )
-        with pytest.raises(ValueError) as err:
-            read_detections(path)
-        assert str(err.value) == f"{path}:2: non-finite embedding component: 'nan'"
+        assert got == f"{path}:2: non-finite embedding value"
+
+    def test_missing_sidecar_is_named(self, tmp_path):
+        path = tmp_path / "det.txt"
+        got = error_message(read_detections, path, ONE_ROW)
+        assert got == f"{tmp_path / 'det.npy'}: missing embedding sidecar of {path}"
+
+    @pytest.mark.parametrize(
+        "embeddings, message",
+        [
+            (np.zeros((2, 2)), "expected embeddings of shape (1, 2) for {path}, got (2, 2)"),
+            (np.zeros((1, 3)), "expected embeddings of shape (1, 2) for {path}, got (1, 3)"),
+            (np.zeros(2), "expected embeddings of shape (1, 2) for {path}, got (2,)"),
+            (np.ones((1, 2), dtype=np.float32), "embeddings must be a float64 array, got float32"),
+            (np.ones((1, 2), dtype=np.int64), "embeddings must be a float64 array, got int64"),
+        ],
+    )
+    def test_sidecar_shape_and_dtype_message_is_exact(self, tmp_path, embeddings, message):
+        path = tmp_path / "det.txt"
+        np.save(tmp_path / "det.npy", embeddings)
+        got = error_message(read_detections, path, ONE_ROW)
+        assert got == f"{tmp_path / 'det.npy'}: " + message.format(path=path)
+
+    def test_object_sidecar_refused_without_unpickling(self, tmp_path):
+        path = tmp_path / "det.txt"
+        np.save(tmp_path / "det.npy", np.array([[1.0, object()]], dtype=object), allow_pickle=True)
+        got = error_message(read_detections, path, ONE_ROW)
+        assert got.startswith(f"{tmp_path / 'det.npy'}: ")
+        assert "allow_pickle=False" in got
+
+    def test_sidecar_that_is_not_npy_is_named(self, tmp_path):
+        path = tmp_path / "det.txt"
+        (tmp_path / "det.npy").write_bytes(b"")
+        got = error_message(read_detections, path, ONE_ROW)
+        assert got.startswith(f"{tmp_path / 'det.npy'}: ")
+
+    def test_npz_sidecar_refused(self, tmp_path):
+        path = tmp_path / "det.txt"
+        with open(tmp_path / "det.npy", "wb") as handle:
+            np.savez(handle, embeddings=np.ones((1, 2)))
+        got = error_message(read_detections, path, ONE_ROW)
+        assert got == f"{tmp_path / 'det.npy'}: expected one .npy array, got NpzFile"
 
     def test_decreasing_frames_rejected(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text(
-            "#dim=2\n2,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n"
+        write_detection_pair(
+            path, "#dim=2\n2,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n"
         )
         with pytest.raises(ValueError, match=r"det\.txt:3: frames must be non-decreasing"):
             read_detections(path)
 
     def test_frame_zero_rejected(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n0,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n")
+        write_detection_pair(path, "#dim=2\n0,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n")
         with pytest.raises(ValueError, match="frame indices start at 1"):
             read_detections(path)
 
     def test_bad_confidence_wrapped_with_line(self, tmp_path):
         path = tmp_path / "det.txt"
-        path.write_text("#dim=2\n1,-1,0.0,0.0,5.0,5.0,1.4,1.0,0.0\n")
+        write_detection_pair(path, "#dim=2\n1,-1,0.0,0.0,5.0,5.0,1.4,1.0,0.0\n")
         with pytest.raises(ValueError, match=r"det\.txt:2: "):
             read_detections(path)
 
@@ -198,14 +296,68 @@ class TestDetectionsFile:
         with pytest.raises(ValueError, match="mixed embedding dimensions"):
             write_detections(frames, tmp_path / "det.txt")
 
+    def test_write_rejects_dim_that_disagrees(self, tmp_path):
+        frames = {1: [Detection(BBox(0, 0, 5, 5), 0.5, np.ones(4))]}
+        with pytest.raises(ValueError, match=r"mixed embedding dimensions: \[4, 8\]"):
+            write_detections(frames, tmp_path / "det.txt", 8)
+
     def test_write_rejects_empty(self, tmp_path):
         with pytest.raises(ValueError, match="empty detection sequence"):
             write_detections({}, tmp_path / "det.txt")
 
+    def test_write_refuses_path_that_is_its_own_sidecar(self, tmp_path):
+        frames = {1: [Detection(BBox(0, 0, 5, 5), 0.5, np.ones(4))]}
+        path = tmp_path / "det.npy"
+        with pytest.raises(ValueError, match="sidecar would overwrite the detection file"):
+            write_detections(frames, path)
+        assert not path.exists()
+
+    def test_empty_frames_round_trip(self, tmp_path):
+        det = Detection(BBox(0, 0, 5, 5), 0.5, np.ones(4))
+        frames = {2: [], 3: [det], 5: [], 7: [det, det], 9: []}
+        path = tmp_path / "det.txt"
+        write_detections(frames, path)
+        assert path.read_text().splitlines()[0] == "#dim=4;empty=2,5,9"
+        loaded = read_detections(path)
+        assert list(loaded) == [2, 3, 5, 7, 9]
+        assert [len(loaded[f]) for f in loaded] == [0, 1, 0, 2, 0]
+
+    def test_all_empty_scene_needs_and_keeps_dim(self, tmp_path):
+        path = tmp_path / "det.txt"
+        write_detections({1: [], 2: []}, path, 4)
+        assert path.read_text() == "#dim=4;empty=1,2\n"
+        assert np.load(tmp_path / "det.npy").shape == (0, 4)
+        assert read_detections(path) == {1: [], 2: []}
+
+    @pytest.mark.parametrize(
+        "header, message",
+        [
+            ("#dim=2;empty=", "missing #dim header, got '#dim=2;empty='"),
+            ("#dim=2;empty=1,", "missing #dim header, got '#dim=2;empty=1,'"),
+            ("#dim=2;empty=+1", "missing #dim header, got '#dim=2;empty=+1'"),
+            ("#dim=2;empty=\u0663", "missing #dim header, got '#dim=2;empty=\u0663'"),
+            ("#dim=2;empty=3,2", "empty frames must be strictly ascending"),
+            ("#dim=2;empty=2,2", "empty frames must be strictly ascending"),
+            ("#dim=2;empty=0,2", "frame indices start at 1, got 0"),
+        ],
+    )
+    def test_empty_frame_header_message_is_exact(self, tmp_path, header, message):
+        path = tmp_path / "det.txt"
+        got = error_message(read_detections, path, f"{header}\n")
+        assert got == f"{path}:1: {message}"
+
+    def test_row_in_a_frame_listed_empty_rejected(self, tmp_path):
+        path = tmp_path / "det.txt"
+        got = detection_error(
+            path,
+            "#dim=2;empty=1,3\n2,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n3,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\n",
+        )
+        assert got == f"{path}:3: frame 3 is listed as empty in the header"
+
     @pytest.mark.parametrize(
         "row, message",
         [
-            ("", "expected 9 fields, got 1"),
+            ("", "expected 7 fields, got 1"),
             ("one,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: 'one'"),
             ("1,raw,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed track id: 'raw'"),
             ("1,-1,0.0,0.0,0.0,5.0,0.9,1.0,0.0",
@@ -215,20 +367,52 @@ class TestDetectionsFile:
             # non-ASCII digits; the columns do not.
             ("1_0,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: '1_0'"),
             (" 1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0", "malformed frame: ' 1'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1_0.0,0.0", "malformed embedding component: '1_0.0'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,0.0\t", "malformed embedding component: '0.0\\t'"),
-            ("1,-1,0.0,0.0,5.0,5.0,0.9,1.0,\u0661", "malformed embedding component: '\u0661'"),
             # Two defects on one line: the earlier check wins.
             ("0,raw,zero,0.0,5.0,5.0,0.9,1.0,0.0", "frame indices start at 1, got 0"),
             ("1,-1,0.0,0.0,-5.0,5.0,nan,1.0,0.0", "non-finite confidence: 'nan'"),
-            # A separator or padding is found before any other field check.
-            ("0,raw,0.0,0.0,5.0,5.0,0.9,1.0,1 ", "malformed embedding component: '1 '"),
         ],
     )
     def test_error_message_is_exact(self, tmp_path, row, message):
         path = tmp_path / "det.txt"
-        got = error_message(read_detections, path, f"#dim=2\n{row}\n")
+        got = detection_error(path, f"#dim=2\n{row}\n")
         assert got == f"{path}:2: {message}"
+
+
+@st.composite
+def detection_frames(draw):
+    """Frame -> detection lists over 1-d positions, with gaps and empty frames."""
+    keys = draw(st.lists(st.integers(1, 12), min_size=1, max_size=8, unique=True))
+    frames = {}
+    for frame in sorted(keys):
+        leaves = draw(st.lists(st.integers(0, 3), max_size=4))
+        frames[frame] = [
+            Detection(
+                BBox(10.0 * leaf, 0.0, 5.0, 5.0),
+                draw(st.sampled_from([0.3, 0.9])),
+                np.eye(4)[leaf] + draw(st.floats(-0.5, 0.5)) * np.eye(4)[(leaf + 1) % 4],
+            )
+            for leaf in leaves
+        ]
+    return frames
+
+
+class TestDetectionsRoundTripTracks:
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        detection_frames(),
+        st.sampled_from([TrackerParams(), TrackerParams(tau_a=1, ema_mode="mean")]),
+    )
+    def test_run_sequence_sees_the_same_scene(self, tmp_path, frames, params):
+        path = tmp_path / "det.txt"
+        write_detections(frames, path, 4)
+        expected = run_sequence(frames, params)
+        got = run_sequence(read_detections(path), params)
+        assert tracked_boxes(got) == tracked_boxes(expected)
+        assert [(r.frame, r.new_track_ids, r.pruned_track_ids) for r in got] == [
+            (r.frame, r.new_track_ids, r.pruned_track_ids) for r in expected
+        ]
 
 
 class TestGtFile:
@@ -757,6 +941,7 @@ class TestWriteDiscipline:
         write_detections(frames, b)
         data = a.read_bytes()
         assert data == b.read_bytes()
+        assert a.with_suffix(".npy").read_bytes() == b.with_suffix(".npy").read_bytes()
         assert b"\r" not in data
         assert data.endswith(b"\n")
 
