@@ -17,6 +17,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import sys
 from collections import defaultdict
+from itertools import product
 from pathlib import Path
 
 from . import fileio, metrics
@@ -27,13 +28,14 @@ from .embedding import (
     sample_triplets,
 )
 from .metrics import (
+    IOU_THRESHOLD,
     evaluate,
     format_report,
     format_report_machine,
     leaf_accuracy_matrix,
 )
 from .simulator import generate
-from .tracker import EMA_MODES, TrackerParams, run_sequence, tracked_boxes
+from .tracker import TrackerParams, run_sequence, tracked_boxes
 
 _SWEEP_COLUMNS = ("tau_s", "alpha", "mode", "hota", "deta", "assa", "mota", "idf1")
 
@@ -121,21 +123,20 @@ def _cmd_sweep(args) -> int:
     modes = [part for part in args.ema_mode.split(",") if part.strip() != ""]
     if not tau_s_values or not alpha_values or not modes:
         raise _UsageError("sweep grid must be non-empty on every axis")
-    for mode in modes:
-        if mode not in EMA_MODES:
-            allowed = " or ".join(map(repr, EMA_MODES))
-            raise _UsageError(f"--ema-mode entries must be {allowed}, got {mode!r}")
+    try:
+        grid = [
+            TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
+            for tau_s, alpha, mode in product(tau_s_values, alpha_values, modes)
+        ]
+    except ValueError as err:
+        raise _UsageError(f"sweep grid: {err}") from None
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
     lines = [",".join(_SWEEP_COLUMNS)]
-    for tau_s in tau_s_values:
-        for alpha in alpha_values:
-            for mode in modes:
-                params = TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
-                rows = tracked_boxes(run_sequence(frames, params))
-                report = evaluate(gt, rows, args.iou)
-                scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
-                lines.append(",".join([repr(tau_s), repr(alpha), mode, *scores]))
+    for params in grid:
+        report = evaluate(gt, tracked_boxes(run_sequence(frames, params)), args.iou)
+        scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
+        lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores]))
     text = "\n".join(lines) + "\n"
     if args.out is not None:
         with open(args.out, "w", newline="\n") as handle:
@@ -165,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd = commands.add_parser("eval", help="score a results file against ground truth")
     evaluate_cmd.add_argument("--gt", required=True)
     evaluate_cmd.add_argument("--results", required=True)
-    evaluate_cmd.add_argument("--iou", type=float, default=0.5)
+    evaluate_cmd.add_argument("--iou", type=float, default=IOU_THRESHOLD)
     evaluate_cmd.add_argument("--machine", action="store_true", help="key=value output")
     evaluate_cmd.add_argument("--leaf-matrix", default=None, help="write per-leaf heatmap CSV here")
     evaluate_cmd.set_defaults(func=_cmd_eval)
@@ -182,10 +183,11 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="grid-run the tracker and tabulate metrics")
     sweep.add_argument("--detections", required=True)
     sweep.add_argument("--gt", required=True)
-    sweep.add_argument("--tau-s", default="0.4", help="comma-separated gate thresholds")
-    sweep.add_argument("--alpha", default="0.5", help="comma-separated EMA weights")
-    sweep.add_argument("--ema-mode", default="ema", help="comma-separated modes (ema, mean)")
-    sweep.add_argument("--iou", type=float, default=0.5)
+    defaults = TrackerParams()
+    sweep.add_argument("--tau-s", default=str(defaults.tau_s), help="comma-separated tau_s values")
+    sweep.add_argument("--alpha", default=str(defaults.alpha), help="comma-separated EMA weights")
+    sweep.add_argument("--ema-mode", default=defaults.ema_mode, help="comma-separated: ema, mean")
+    sweep.add_argument("--iou", type=float, default=IOU_THRESHOLD)
     sweep.add_argument("--out", default=None, help="CSV path; stdout when omitted")
     sweep.set_defaults(func=_cmd_sweep)
     return parser

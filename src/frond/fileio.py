@@ -302,12 +302,10 @@ def write_results(results, path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_truth_map(path) -> dict[tuple[int, int], int]:
-    """Read a (frame, det_index) -> leaf_id map; frames must be non-negative, so frame 0 reads."""
+    """Read a (frame, det_index) -> leaf_id map; frames start at 1, as in every other format."""
     out: dict[tuple[int, int], int] = {}
     for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _TRUTH_MAP_FIELDS):
-        frame = _parse_int(fields[0], path, lineno, "frame")
-        if frame < 0:
-            raise ValueError(f"{path}:{lineno}: frame indices must be non-negative, got {frame}")
+        frame = _frame(fields[0], path, lineno)
         det_index = _parse_int(fields[1], path, lineno, "detection index")
         if det_index < 0:
             raise ValueError(f"{path}:{lineno}: detection indices start at 0, got {det_index}")

@@ -25,6 +25,7 @@ CELL_CORRECT = 1
 CELL_FAILURE = 0
 CELL_ABSENT = -1
 CELL_IOU_MIN = 0.75  # a correct leaf-matrix cell also needs this overlap
+IOU_THRESHOLD = 0.5  # default localization threshold of match_frames, evaluate and the CLI
 
 
 @dataclass(frozen=True)
@@ -127,7 +128,7 @@ def _group_by_frame(rows: Iterable, id_field: str, side: str) -> dict:
 def match_frames(
     gt: Iterable[GtAnnotation],
     pred: Iterable[TrackedBox],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> MatchTable:
     """Match ground truth against predictions frame by frame.
 
@@ -298,7 +299,7 @@ def report_from_table(table: MatchTable) -> MetricReport:
 def evaluate(
     gt: Iterable[GtAnnotation],
     pred: Iterable[TrackedBox],
-    iou_threshold: float = 0.5,
+    iou_threshold: float = IOU_THRESHOLD,
 ) -> MetricReport:
     """Match one sequence and compute every metric."""
     return report_from_table(match_frames(gt, pred, iou_threshold))

@@ -36,7 +36,6 @@ class LeafModel:
     midpoint: float
     latent: np.ndarray
     drift_dir: np.ndarray
-    drift_rate: float
 
 
 @dataclass(frozen=True)
@@ -87,6 +86,13 @@ class ScenarioConfig:
             raise ValueError(f"fp_rate must be non-negative, got {self.fp_rate}")
         if self.box_jitter_std < 0.0 or self.embedding_noise_std < 0.0:
             raise ValueError("noise standard deviations must be non-negative")
+        # Beyond the frame a jitter is no longer noise, and at 1e300 IoU overflows.
+        longest = max(self.frame_width, self.frame_height)
+        if self.box_jitter_std > longest:
+            raise ValueError(
+                f"box_jitter_std must not exceed the longer frame side {longest}, "
+                f"got {self.box_jitter_std}"
+            )
         if self.embedding_drift_rate < 0.0:
             raise ValueError("embedding_drift_rate must be non-negative")
         if not 0.0 <= self.conf_lo <= self.conf_hi <= 1.0:
@@ -137,7 +143,6 @@ def _build_leaves(cfg: ScenarioConfig, rng: np.random.Generator) -> list[LeafMod
                 midpoint=rng.uniform(birth + 3.0, birth + 15.0),
                 latent=normalize(mix * shared + spread * _unit_gaussian(rng, cfg.embedding_dim)),
                 drift_dir=_unit_gaussian(rng, cfg.embedding_dim),
-                drift_rate=cfg.embedding_drift_rate,
             )
         )
     return leaves
@@ -194,7 +199,7 @@ def generate(cfg: ScenarioConfig):
             observed = BBox(
                 box.u + du, box.v + dv, max(box.w + dw, 2.0), max(box.h + dh, 2.0)
             )
-            raw = leaf.latent + leaf.drift_dir * (leaf.drift_rate * frame)
+            raw = leaf.latent + leaf.drift_dir * (cfg.embedding_drift_rate * frame)
             if cfg.embedding_noise_std:
                 raw = raw + rng.normal(0.0, cfg.embedding_noise_std, cfg.embedding_dim)
             confidence = float(rng.uniform(cfg.conf_lo, cfg.conf_hi))

@@ -234,6 +234,21 @@ class TestEval:
         assert main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results), "--machine"]) == 0
         assert "tp=0\n" in capsys.readouterr().out
 
+    # The largest jitter the validator accepts still scores without a numpy warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_jitter_at_the_frame_bound_scores(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text(
+            "n_frames=3\nn_leaves=2\nembedding_dim=4\nframe_width=64\nbox_jitter_std=512\n"
+        )
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        results = tmp_path / "results.txt"
+        assert main(["track", "--detections", str(out_dir / "det.txt"), "--out", str(results)]) == 0
+        capsys.readouterr()
+        assert main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results)]) == 0
+        assert "HOTA" in capsys.readouterr().out
+
 
 class TestTriplets:
     def test_samples_across_plants(self, tmp_path, capsys):
@@ -467,6 +482,34 @@ class TestSweep:
         )
         assert code == 2
         assert "ema" in capsys.readouterr().err
+
+    # The inputs do not exist: the grid must be refused before either is opened.
+    @pytest.mark.parametrize(
+        "flag, value, field",
+        [
+            ("--tau-s", "1.5", "tau_s"),
+            ("--alpha", "2", "alpha"),
+            ("--ema-mode", "median", "ema_mode"),
+        ],
+    )
+    def test_bad_grid_value_is_usage_error_before_any_read(
+        self, tmp_path, capsys, flag, value, field
+    ):
+        code = main(
+            [
+                "sweep",
+                "--detections",
+                str(tmp_path / "nope-det.txt"),
+                "--gt",
+                str(tmp_path / "nope-gt.txt"),
+                flag,
+                value,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: sweep grid: {field} ")
+        assert "no such file" not in err
 
 
 class TestParserContract:

@@ -597,8 +597,9 @@ class TestTruthMapFile:
             ("1,-1,-7\n", 1, "detection indices start at 0, got -1"),
             ("1,-1,c\n", 1, "detection indices start at 0, got -1"),
             ("1,0,3\n1,0,-7\n", 2, "leaf ids start at 1, got -7"),
-            ("-3,0,2\n", 1, "frame indices must be non-negative, got -3"),
-            ("0,0,3\n-1,b,c\n", 2, "frame indices must be non-negative, got -1"),
+            ("-3,0,2\n", 1, "frame indices start at 1, got -3"),
+            ("1,0,3\n-1,b,c\n", 2, "frame indices start at 1, got -1"),
+            ("0,0,3\n", 1, "frame indices start at 1, got 0"),
             ("1_0,0,2\n", 1, "malformed frame: '1_0'"),
             ("1,0,3\n1,\t1,2\n", 2, "malformed detection index: '\\t1'"),
             ("1,0,2 \n", 1, "malformed leaf id: '2 '"),
@@ -608,11 +609,6 @@ class TestTruthMapFile:
     def test_error_message_is_exact(self, tmp_path, text, lineno, message):
         path = tmp_path / "map.txt"
         assert error_message(read_truth_map, path, text) == f"{path}:{lineno}: {message}"
-
-    def test_frame_zero_accepted(self, tmp_path):
-        path = tmp_path / "map.txt"
-        path.write_text("0,0,3\n0,1,1\n")
-        assert read_truth_map(path) == {(0, 0): 3, (0, 1): 1}
 
 
 class TestTripletsFile:
@@ -868,11 +864,13 @@ def scenario_configs(draw):
     n_leaves = draw(st.integers(1, 12))
     conf_lo, conf_hi = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
     windows = st.tuples(st.integers(1, n_leaves), st.integers(1, n_frames), st.integers(1, n_frames))
+    frame_width = draw(st.integers(32, 4096))
+    frame_height = draw(st.integers(32, 4096))
     return ScenarioConfig(
         n_frames=n_frames,
         n_leaves=n_leaves,
-        frame_width=draw(st.integers(32, 4096)),
-        frame_height=draw(st.integers(32, 4096)),
+        frame_width=frame_width,
+        frame_height=frame_height,
         occlusion_prob=draw(_UNIT),
         rotation_events=tuple(draw(st.lists(st.tuples(st.integers(1, 10**6), _FINITE), max_size=4))),
         occlusion_windows=tuple(
@@ -880,7 +878,7 @@ def scenario_configs(draw):
         ),
         miss_prob=draw(_UNIT),
         fp_rate=draw(_NON_NEGATIVE),
-        box_jitter_std=draw(_NON_NEGATIVE),
+        box_jitter_std=draw(st.floats(0.0, max(frame_width, frame_height))),
         conf_lo=conf_lo,
         conf_hi=conf_hi,
         embedding_dim=draw(st.integers(2, 1024)),

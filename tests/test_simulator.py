@@ -87,6 +87,15 @@ class TestConfigValidation:
             ScenarioConfig(n_frames=5, n_leaves=2, **{name: value})
         assert str(err.value) == f"{name} must be finite, got {value}"
 
+    @pytest.mark.parametrize("value", [math.nextafter(600.0, math.inf), 1e300])
+    def test_rejects_jitter_beyond_the_frame_with_exact_message(self, value):
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(
+                n_frames=5, n_leaves=2, frame_width=600, frame_height=400, box_jitter_std=value
+            )
+        expected = f"box_jitter_std must not exceed the longer frame side 600, got {value}"
+        assert str(err.value) == expected
+
     def test_rejects_negative_seed_with_exact_message(self):
         # numpy's generator refuses it, so it would fail only once generate runs.
         with pytest.raises(ValueError) as err:
