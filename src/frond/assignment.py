@@ -60,10 +60,9 @@ def hungarian(cost: np.ndarray) -> Assignment:
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
         raise ValueError("cost matrix must be 2-d and non-empty")
-    if np.isnan(c).any():
-        raise ValueError("invalid cost: NaN entry")
-    if not np.all(np.isfinite(c)):
-        raise ValueError("invalid cost: non-finite entry")
+    if not np.isfinite(c).all():
+        kind = "NaN" if np.isnan(c).any() else "non-finite"
+        raise ValueError(f"invalid cost: {kind} entry")
     if c.shape[0] <= c.shape[1]:
         return Assignment(list(enumerate(_solve(c))))
     return Assignment(sorted((i, j) for j, i in enumerate(_solve(c.T))))

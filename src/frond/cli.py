@@ -21,12 +21,7 @@ from itertools import product
 from pathlib import Path
 
 from . import fileio, metrics
-from .embedding import (
-    INTRA_PLANT_TEMPORAL_WINDOW,
-    STRATEGY_KINDS,
-    SamplingStrategy,
-    sample_triplets,
-)
+from .embedding import STRATEGY_KINDS, SamplingStrategy, sample_triplets
 from .metrics import (
     IOU_THRESHOLD,
     evaluate,
@@ -70,7 +65,7 @@ def _cmd_track(args) -> int:
     else:
         params = TrackerParams()
     results = run_sequence(frames, params)
-    fileio.write_results(results, args.out)
+    fileio.write_results(tracked_boxes(results), args.out)
     created = sum(len(r.new_track_ids) for r in results)
     pruned = sum(len(r.pruned_track_ids) for r in results)
     print(f"tracks created: {created}")
@@ -93,17 +88,16 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_triplets(args) -> int:
-    if args.strategy == INTRA_PLANT_TEMPORAL_WINDOW and args.delta_t is None:
-        raise _UsageError(f"--strategy {INTRA_PLANT_TEMPORAL_WINDOW} requires --delta-t")
-    if args.strategy != INTRA_PLANT_TEMPORAL_WINDOW and args.delta_t is not None:
-        raise _UsageError(f"--delta-t is only valid with --strategy {INTRA_PLANT_TEMPORAL_WINDOW}")
+    try:
+        strategy = SamplingStrategy(args.strategy, args.delta_t)
+    except ValueError as err:
+        raise _UsageError(f"triplets strategy: {err}") from None
     corpus = {}
     for plant_id, path in enumerate(args.gt_corpus):
         times = defaultdict(set)
         for row in fileio.read_gt(_require_file(path)):
             times[row.leaf_id].add(row.frame)
         corpus[plant_id] = {leaf: sorted(ts) for leaf, ts in times.items()}
-    strategy = SamplingStrategy(args.strategy, args.delta_t)
     triplets = sample_triplets(corpus, strategy, args.count, args.seed)
     fileio.write_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} triplets to {args.out}")

@@ -7,6 +7,9 @@ written with shortest round-trip formatting, text files end with a
 trailing newline, and line endings are always LF, so equal inputs produce
 byte-identical files.  Every comma-separated format is read through one
 row loop, so a bad line is reported the same way in each of them.
+Detections, ground truth and results share the frame,id,x,y,w,h columns,
+which one formatter writes; ground truth and results are read by one
+reader.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .embedding import CropRef, TripletSpec
 from .geometry import BBox
 from .metrics import CELL_ABSENT, CELL_CORRECT, GtAnnotation, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
-from .tracker import Detection, FrameResult, TrackedBox, TrackerParams, tracked_boxes
+from .tracker import Detection, TrackedBox, TrackerParams
 
 _HEADER_RE = re.compile(r"#dim=([0-9]+)(?:;empty=([0-9]+(?:,[0-9]+)*))?")
 _GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
@@ -104,6 +107,38 @@ def _floats(tokens: list[str], names, path, lineno: int) -> list[float]:
         for token, what in zip(tokens, names):
             _parse_float(token, path, lineno, what)
     return values
+
+
+def _box_line(frame: int, row_id: int, box: BBox, tail: str = "") -> str:
+    """The frame,id,x,y,w,h columns that detections, ground truth and results share."""
+    return f"{frame},{row_id},{_fmt(box.u)},{_fmt(box.v)},{_fmt(box.w)},{_fmt(box.h)}{tail}"
+
+
+def _read_boxes(path, names: tuple[str, ...], row) -> list:
+    """Read frame,id,x,y,w,h[,...] lines into row(frame, id, box) values.
+
+    names[1] names the id column: ids start at 1 and (frame, id) must be
+    unique.  Every float column is checked, extra ones too, before the box
+    is built from the first four.
+    """
+    what = names[1]
+    rows = []
+    seen = set()
+    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), names):
+        frame = _frame(fields[0], path, lineno)
+        row_id = _parse_int(fields[1], path, lineno, what)
+        if row_id < 1:
+            raise ValueError(f"{path}:{lineno}: {what}s start at 1, got {row_id}")
+        if (frame, row_id) in seen:
+            key = what.replace(" ", "_")
+            raise ValueError(f"{path}:{lineno}: duplicate (frame, {key}) = ({frame}, {row_id})")
+        seen.add((frame, row_id))
+        values = _floats(fields[2:], names[2:], path, lineno)
+        try:
+            rows.append(row(frame, row_id, BBox(*values[:4])))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    return rows
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -216,9 +251,7 @@ def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | Non
     embeddings = []
     for frame in sorted(frames):
         for det in frames[frame]:
-            box = det.box
-            values = [_fmt(box.u), _fmt(box.v), _fmt(box.w), _fmt(box.h), _fmt(det.confidence)]
-            lines.append(f"{frame},-1," + ",".join(values))
+            lines.append(_box_line(frame, -1, det.box, f",{_fmt(det.confidence)}"))
             embeddings.append(det.embedding)
     _write_lines(path, lines)
     array = np.array(embeddings, dtype=np.float64).reshape(len(embeddings), dim)
@@ -230,30 +263,13 @@ def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | Non
 # ---------------------------------------------------------------------------
 
 def read_gt(path) -> list[GtAnnotation]:
-    """Read ground-truth annotations; (frame, leaf_id) must be unique."""
-    rows = []
-    seen = set()
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _GT_FIELDS):
-        frame = _frame(fields[0], path, lineno)
-        leaf_id = _parse_int(fields[1], path, lineno, "leaf id")
-        if (frame, leaf_id) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate (frame, leaf_id) = ({frame}, {leaf_id})")
-        seen.add((frame, leaf_id))
-        box = _floats(fields[2:], _GT_FIELDS[2:], path, lineno)
-        try:
-            rows.append(GtAnnotation(frame, leaf_id, BBox(*box)))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    return rows
+    """Read ground-truth annotations; leaf ids start at 1 and (frame, leaf_id) is unique."""
+    return _read_boxes(path, _GT_FIELDS, GtAnnotation)
 
 
 def write_gt(annotations: Iterable[GtAnnotation], path) -> None:
     rows = sorted(annotations, key=lambda r: (r.frame, r.leaf_id))
-    lines = [
-        f"{r.frame},{r.leaf_id},{_fmt(r.box.u)},{_fmt(r.box.v)},{_fmt(r.box.w)},{_fmt(r.box.h)}"
-        for r in rows
-    ]
-    _write_lines(path, lines)
+    _write_lines(path, [_box_line(r.frame, r.leaf_id, r.box) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -266,35 +282,13 @@ def read_results(path) -> list[TrackedBox]:
     The seventh (confidence) column must be a finite float and is then
     ignored; `write_results` always writes it as `1.0`.
     """
-    rows = []
-    seen = set()
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _RESULT_FIELDS):
-        frame = _frame(fields[0], path, lineno)
-        track_id = _parse_int(fields[1], path, lineno, "track id")
-        if track_id < 1:
-            raise ValueError(f"{path}:{lineno}: track ids start at 1, got {track_id}")
-        if (frame, track_id) in seen:
-            raise ValueError(f"{path}:{lineno}: duplicate (frame, track_id) = ({frame}, {track_id})")
-        seen.add((frame, track_id))
-        values = _floats(fields[2:], _RESULT_FIELDS[2:], path, lineno)
-        try:
-            rows.append(TrackedBox(frame, track_id, BBox(*values[:4])))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    return rows
+    return _read_boxes(path, _RESULT_FIELDS, TrackedBox)
 
 
-def write_results(results, path) -> None:
-    """Write tracker output (frame results or evaluation rows) as a results file."""
-    rows = list(results)
-    if rows and isinstance(rows[0], FrameResult):
-        rows = tracked_boxes(rows)
+def write_results(rows: Iterable[TrackedBox], path) -> None:
+    """Write evaluation rows, e.g. tracked_boxes(run_sequence(...)), as a results file."""
     rows = sorted(rows, key=lambda r: (r.frame, r.track_id))
-    lines = [
-        f"{r.frame},{r.track_id},{_fmt(r.box.u)},{_fmt(r.box.v)},{_fmt(r.box.w)},{_fmt(r.box.h)},1.0"
-        for r in rows
-    ]
-    _write_lines(path, lines)
+    _write_lines(path, [_box_line(r.frame, r.track_id, r.box, ",1.0") for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -4,8 +4,8 @@ All metrics run at a single localization threshold: a prediction counts
 as a true positive only where a per-frame minimum-cost matching pairs it
 with a ground-truth box at IoU >= iou_threshold.  match_frames builds that
 table; report_from_table is the one reduction of it to DetA, AssA, HOTA,
-MOTA, IDF1 and ID switches, and counts the (gt, pred) identity pairs once
-for both the AssA and the IDF1 bijection.
+MOTA, IDF1 and ID switches.  A table counts its (gt, pred) identity pairs
+and solves its IDF1 bijection once, for AssA, IDF1 and the leaf matrix.
 """
 
 from __future__ import annotations
@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -47,6 +48,8 @@ class MatchTable:
 
     matches maps frame -> [(gt_id, pred_id, iou)] for true positives;
     misses and false_alarms list the frame's unmatched gt and pred ids.
+    The identity pair counts and the IDF1 bijection are worked out on
+    first use and kept, so a table must not change once it is scored.
     """
 
     frames: list
@@ -65,6 +68,39 @@ class MatchTable:
     @property
     def fp(self) -> int:
         return sum(len(ids) for ids in self.false_alarms.values())
+
+    @cached_property
+    def _pair_counts(self) -> dict:
+        """Number of true positives per (gt_id, pred_id) pair."""
+        counts: dict = defaultdict(int)
+        for frame in self.frames:
+            for gt_id, pred_id, _ in self.matches[frame]:
+                counts[(gt_id, pred_id)] += 1
+        return counts
+
+    @cached_property
+    def _idf1(self) -> tuple[int, dict]:
+        """(idtp, bijection) under the optimal identity bijection.
+
+        The bijection maximizes the summed per-pair TP counts (minimum-cost
+        assignment on negated counts).
+        """
+        counts = self._pair_counts
+        bijection: dict = {}
+        idtp = 0
+        if counts:
+            gt_ids = sorted({g for g, _ in counts})
+            pred_ids = sorted({p for _, p in counts})
+            gt_index = {g: i for i, g in enumerate(gt_ids)}
+            pred_index = {p: j for j, p in enumerate(pred_ids)}
+            matrix = np.zeros((len(gt_ids), len(pred_ids)))
+            for (g, p), c in counts.items():
+                matrix[gt_index[g], pred_index[p]] = c
+            for gi, pj in hungarian(-matrix).pairs:
+                if matrix[gi, pj] > 0:
+                    bijection[gt_ids[gi]] = pred_ids[pj]
+                    idtp += int(matrix[gi, pj])
+        return idtp, bijection
 
 
 def match_by_iou(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -168,16 +204,7 @@ def match_frames(
     return MatchTable(frames=frames, matches=matches, misses=misses, false_alarms=false_alarms)
 
 
-def _pair_counts(table: MatchTable) -> dict:
-    """Number of true positives per (gt_id, pred_id) pair."""
-    counts: dict = defaultdict(int)
-    for frame in table.frames:
-        for gt_id, pred_id, _ in table.matches[frame]:
-            counts[(gt_id, pred_id)] += 1
-    return counts
-
-
-def _association_accuracy(table: MatchTable, counts: dict) -> float:
+def _association_accuracy(table: MatchTable) -> float:
     """AssA under the majority-vote identity bijection.
 
     The bijection takes candidate pairs in order of descending match
@@ -194,7 +221,7 @@ def _association_accuracy(table: MatchTable, counts: dict) -> float:
         for pred_id in table.false_alarms[frame]:
             established.setdefault(pred_id, frame)
     ranked = sorted(
-        counts.items(),
+        table._pair_counts.items(),
         key=lambda item: (-item[1], established[item[0][1]], item[0][0], item[0][1]),
     )
     bijection: dict = {}
@@ -211,29 +238,6 @@ def _association_accuracy(table: MatchTable, counts: dict) -> float:
             agree = sum(1 for gt_id, pred_id, _ in rows if bijection.get(gt_id) == pred_id)
             ratios.append(agree / len(rows))
     return sum(ratios) / len(ratios) if ratios else 0.0
-
-
-def _idf1_counts(counts: dict):
-    """(idtp, bijection) under the optimal identity bijection.
-
-    The bijection maximizes the summed per-pair TP counts (minimum-cost
-    assignment on negated counts).
-    """
-    bijection: dict = {}
-    idtp = 0
-    if counts:
-        gt_ids = sorted({g for g, _ in counts})
-        pred_ids = sorted({p for _, p in counts})
-        gt_index = {g: i for i, g in enumerate(gt_ids)}
-        pred_index = {p: j for j, p in enumerate(pred_ids)}
-        matrix = np.zeros((len(gt_ids), len(pred_ids)))
-        for (g, p), c in counts.items():
-            matrix[gt_index[g], pred_index[p]] = c
-        for gi, pj in hungarian(-matrix).pairs:
-            if matrix[gi, pj] > 0:
-                bijection[gt_ids[gi]] = pred_ids[pj]
-                idtp += int(matrix[gi, pj])
-    return idtp, bijection
 
 
 @dataclass(frozen=True)
@@ -267,9 +271,8 @@ def report_from_table(table: MatchTable) -> MetricReport:
     total_gt = tp + fn
     if total_gt == 0:
         raise ValueError("empty ground truth")
-    counts = _pair_counts(table)
-    assa = _association_accuracy(table, counts)
-    idtp, _ = _idf1_counts(counts)
+    assa = _association_accuracy(table)
+    idtp, _ = table._idf1
     idsw = 0
     last_pred: dict = {}
     for frame in table.frames:
@@ -325,7 +328,7 @@ def leaf_accuracy_matrix(table: MatchTable) -> LeafAccuracyMatrix:
     identity (the idf1 bijection) and overlaps at IoU >= CELL_IOU_MIN;
     any other annotated cell is a failure; unannotated cells are absent.
     """
-    _, bijection = _idf1_counts(_pair_counts(table))
+    _, bijection = table._idf1
     frames = list(table.frames)
     leaf_ids = sorted(
         {gt_id for frame in frames for gt_id, _, _ in table.matches[frame]}

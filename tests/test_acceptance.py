@@ -343,7 +343,7 @@ def test_criterion_10_determinism_and_round_trips(tmp_path):
         write_gt(gt, base / "gt.txt")
         write_truth_map(truth_map, base / "truth.txt")
         results = run_sequence(det, TrackerParams())
-        write_results(results, base / "res.txt")
+        write_results(tracked_boxes(results), base / "res.txt")
         byte_sets.append(
             tuple((base / name).read_bytes() for name in ("det.txt", "gt.txt", "truth.txt", "res.txt"))
         )

@@ -80,6 +80,20 @@ class TestHungarian:
         with pytest.raises(ValueError, match="invalid cost"):
             hungarian(np.array([[1.0, np.inf]]))
 
+    @pytest.mark.parametrize(
+        "cost, message",
+        [
+            ([[1.0, np.nan], [0.5, 2.0]], "invalid cost: NaN entry"),
+            ([[1.0, np.inf], [0.5, 2.0]], "invalid cost: non-finite entry"),
+            # A NaN is named even when an infinite entry comes first.
+            ([[-np.inf, 1.0], [np.nan, 2.0]], "invalid cost: NaN entry"),
+        ],
+    )
+    def test_invalid_cost_message_is_exact(self, cost, message):
+        with pytest.raises(ValueError) as err:
+            hungarian(np.array(cost))
+        assert str(err.value) == message
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             hungarian(np.zeros((0, 3)))

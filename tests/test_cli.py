@@ -3,17 +3,22 @@
 import numpy as np
 import pytest
 
+import frond.metrics
 from frond import (
     BBox,
     GtAnnotation,
+    TrackedBox,
     TrackerParams,
     generate,
+    hungarian,
+    read_gt,
     read_results,
     read_scenario_config,
     read_triplets,
     run_sequence,
     tracked_boxes,
     write_gt,
+    write_results,
 )
 from frond.cli import main
 
@@ -215,6 +220,27 @@ class TestEval:
         assert lines[0] == "leaf_id," + ",".join(str(f) for f in range(1, 11))
         assert len(lines) == 4
 
+    def test_leaf_matrix_reuses_the_reports_bijection(self, tmp_path, monkeypatch):
+        # Well-separated boxes: every IoU component is one gt by one
+        # prediction, so match_frames never calls the solver and each
+        # solve counted here is an IDF1 bijection.
+        gt = tmp_path / "gt.txt"
+        write_plant_gt(gt)
+        res = tmp_path / "res.txt"
+        write_results([TrackedBox(r.frame, r.leaf_id, r.box) for r in read_gt(gt)], res)
+        solves = []
+
+        def counted(cost):
+            solves.append(np.shape(cost))
+            return hungarian(cost)
+
+        monkeypatch.setattr(frond.metrics, "hungarian", counted)
+        matrix = tmp_path / "matrix.csv"
+        argv = ["eval", "--gt", str(gt), "--results", str(res), "--leaf-matrix", str(matrix)]
+        assert main(argv) == 0
+        assert solves == [(3, 3)]
+        assert matrix.read_text().splitlines()[1] == "1," + ",".join(["1"] * 8)
+
     def test_empty_gt_is_data_error(self, tmp_path, capsys):
         gt = tmp_path / "gt.txt"
         gt.write_text("")
@@ -326,7 +352,28 @@ class TestTriplets:
             ]
         )
         assert code == 2
-        assert "requires --delta-t" in capsys.readouterr().err
+        assert "requires delta_t" in capsys.readouterr().err
+
+    def test_strategy_is_checked_before_any_corpus_file(self, tmp_path, capsys):
+        code = main(
+            [
+                "triplets",
+                "--gt-corpus",
+                str(tmp_path / "missing.txt"),
+                "--strategy",
+                "intra_plant_temporal_window",
+                "--delta-t",
+                "0",
+                "--count",
+                "5",
+                "--out",
+                str(tmp_path / "t.txt"),
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "delta_t" in err
+        assert "no such file" not in err
 
     def test_delta_t_with_other_strategy_is_usage_error(self, tmp_path, capsys):
         plant = tmp_path / "a.txt"

@@ -476,7 +476,7 @@ class TestGtFile:
             ("1,1,0.0,0.0,5.0,5.0\n1,1,zero,0.0,5.0,5.0\n", 2,
              "duplicate (frame, leaf_id) = (1, 1)"),
             ("1,1,-inf,zero,5.0,5.0\n", 1, "non-finite x: '-inf'"),
-            ("1,0,0.0,0.0,0.0,5.0\n", 1, "box extent must be positive, got w=0.0, h=5.0"),
+            ("1,0,0.0,0.0,0.0,5.0\n", 1, "leaf ids start at 1, got 0"),
             ("0,leaf,0.0,0.0,5.0, 5.0\n", 1, "malformed h: ' 5.0'"),
             ("1 1,0.0,0.0,5.0,5.0\n", 1, "expected 6 fields, got 5"),
         ],
@@ -507,7 +507,7 @@ class TestResultsFile:
         path.write_text("1,1,0.0,0.0,5.0,5.0,-7.5\n")
         assert read_results(path) == [TrackedBox(1, 1, BBox(0.0, 0.0, 5.0, 5.0))]
 
-    def test_accepts_frame_results(self, tmp_path):
+    def test_tracked_boxes_of_a_run_write_the_hand_built_bytes(self, tmp_path):
         e = np.zeros(4)
         e[0] = 1.0
         frames = {
@@ -517,7 +517,7 @@ class TestResultsFile:
         results = run_sequence(frames, TrackerParams())
         path_a = tmp_path / "a.txt"
         path_b = tmp_path / "b.txt"
-        write_results(results, path_a)
+        write_results(tracked_boxes(results), path_a)
         write_results(
             [TrackedBox(1, 1, BBox(0, 0, 10, 10)), TrackedBox(2, 1, BBox(1, 0, 10, 10))],
             path_b,
@@ -566,6 +566,39 @@ class TestResultsFile:
     def test_error_message_is_exact(self, tmp_path, text, lineno, message):
         path = tmp_path / "res.txt"
         assert error_message(read_results, path, text) == f"{path}:{lineno}: {message}"
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_EXTENT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+
+
+class TestBoxColumns:
+    """Detections, ground truth and results write the same frame,id,x,y,w,h columns."""
+
+    @settings(
+        max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(
+        st.integers(1, 10**9),
+        st.integers(1, 10**9),
+        st.builds(BBox, _FINITE, _FINITE, _EXTENT, _EXTENT),
+        st.floats(0.0, 1.0),
+    )
+    def test_every_format_writes_the_same_box_columns(self, tmp_path, frame, row_id, box, conf):
+        write_gt([GtAnnotation(frame, row_id, box)], tmp_path / "gt.txt")
+        write_results([TrackedBox(frame, row_id, box)], tmp_path / "res.txt")
+        write_detections({frame: [Detection(box, conf, np.ones(2))]}, tmp_path / "det.txt")
+
+        def fields(name, index=0):
+            return (tmp_path / name).read_text().splitlines()[index].split(",")
+
+        gt, res, det = fields("gt.txt"), fields("res.txt"), fields("det.txt", 1)
+        assert res[:6] == gt
+        assert res[6:] == ["1.0"]
+        assert det[0] == gt[0]
+        assert det[1] == "-1"
+        assert det[2:6] == gt[2:]
+        assert det[6:] == [repr(conf)]
 
 
 class TestTruthMapFile:
