@@ -15,7 +15,9 @@ def leaf_detection(u, embedding, conf=0.95):
 
 
 def describe(bank):
-    parts = [f"id {t.track_id} (age {t.age}, born frame {t.born_at})" for t in bank.tracks]
+    # Row i of each bank field belongs to one live track.
+    rows = zip(bank.track_ids, bank.ages, bank.born_at)
+    parts = [f"id {track_id} (age {age}, born frame {born_at})" for track_id, age, born_at in rows]
     return ", ".join(parts) if parts else "(empty)"
 
 

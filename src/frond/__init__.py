@@ -69,7 +69,6 @@ _EXPORTS = {
         "Detection",
         "FrameResult",
         "MemoryBank",
-        "Track",
         "TrackedBox",
         "TrackerParams",
         "run_sequence",

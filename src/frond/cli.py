@@ -45,6 +45,13 @@ def _require_file(path: str) -> str:
     return path
 
 
+def _check_iou(value: float) -> None:
+    try:
+        metrics.check_iou_threshold(value)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
 def _cmd_simulate(args) -> int:
     config = fileio.read_scenario_config(_require_file(args.config))
     out_dir = Path(args.out_dir)
@@ -74,6 +81,7 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    _check_iou(args.iou)
     gt = fileio.read_gt(_require_file(args.gt))
     pred = fileio.read_results(_require_file(args.results))
     table = metrics.match_frames(gt, pred, args.iou)
@@ -124,6 +132,7 @@ def _cmd_sweep(args) -> int:
         ]
     except ValueError as err:
         raise _UsageError(f"sweep grid: {err}") from None
+    _check_iou(args.iou)
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
     lines = [",".join(_SWEEP_COLUMNS)]

@@ -34,13 +34,14 @@ def normalize(values) -> np.ndarray:
     v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.shape[0] < 1:
         raise ValueError(f"embedding must be a non-empty 1-d vector, got shape {v.shape}")
-    # One pass: np.linalg.norm of a 1-d float vector is exactly
-    # sqrt(x.x) with x = v.ravel("K").  A nan or inf entry, a zero vector
-    # and a squared norm that overflowed or lost precision to underflow
-    # all land outside [smallest normal, inf), so the entry scan runs
-    # only then.
+    # One pass: np.linalg.norm of a 1-d float vector is exactly sqrt(x.x)
+    # with x = v.ravel("K"), and np.vdot computes x.x bit for bit like
+    # x.dot(x) but raises no floating-point warning.  A nan or inf entry, a
+    # zero vector and a squared norm that overflowed or lost precision to
+    # underflow all land outside [smallest normal, inf), so the entry scan
+    # runs only then.
     x = v.ravel(order="K")
-    sq = float(x.dot(x))
+    sq = float(np.vdot(x, x))
     if not _SMALLEST_NORMAL <= sq < math.inf:
         if not np.all(np.isfinite(v)):
             raise ValueError("non-finite embedding value")

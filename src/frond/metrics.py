@@ -161,6 +161,12 @@ def _group_by_frame(rows: Iterable, id_field: str, side: str) -> dict:
     return by_frame
 
 
+def check_iou_threshold(iou_threshold: float) -> None:
+    """Raise ValueError unless iou_threshold lies in (0, 1]."""
+    if not 0.0 < iou_threshold <= 1.0:
+        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+
+
 def match_frames(
     gt: Iterable[GtAnnotation],
     pred: Iterable[TrackedBox],
@@ -176,8 +182,7 @@ def match_frames(
         ValueError: on a duplicated (frame, id) on either side, or an
             iou_threshold outside (0, 1].
     """
-    if not 0.0 < iou_threshold <= 1.0:
-        raise ValueError(f"iou_threshold must lie in (0, 1], got {iou_threshold}")
+    check_iou_threshold(iou_threshold)
     gt_by_frame = _group_by_frame(gt, "leaf_id", "ground-truth")
     pred_by_frame = _group_by_frame(pred, "track_id", "prediction")
 

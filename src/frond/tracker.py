@@ -63,23 +63,22 @@ class TrackerParams:
 
 
 @dataclass(eq=False)
-class Track:
-    """Memory-bank entry for one tracked leaf."""
-
-    track_id: int
-    prototype: np.ndarray
-    age: int
-    born_at: int
-    embedding_sum: np.ndarray  # absorbed embeddings; only mean mode reads or adds to it
-
-
-@dataclass(eq=False)
 class MemoryBank:
-    """Live tracks in creation order plus the monotonic id allocator."""
+    """Live tracks as rows of one matrix, in creation order, plus the id allocator.
 
-    tracks: list[Track] = field(default_factory=list)
+    Row i of each field is one track: unit-norm prototype, id, age (frames
+    since its last match) and founding frame; sums, the sum of the absorbed
+    embeddings, exists only in mean mode.  The first founding fixes the mode
+    and the width of prototypes, 0 until then.  step updates matched rows in
+    place, so copy a row to keep it across a step.
+    """
+
+    prototypes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
+    track_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    ages: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    born_at: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    sums: np.ndarray | None = None
     next_id: int = 1
-    dim: int | None = None
 
 
 @dataclass
@@ -117,77 +116,62 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     included, then found new tracks in detection order.
 
     Raises:
-        ValueError: on an embedding dimension mismatch.
+        ValueError: on a mismatch of embedding dimension or of ema_mode.
     """
     kept = [(j, det) for j, det in enumerate(detections) if det.confidence >= params.conf_min]
-    dim = bank.dim
+    mean_mode = params.ema_mode == "mean"
+    width = bank.prototypes.shape[1]
+    if width and (bank.sums is not None) != mean_mode:
+        founded = "mean" if bank.sums is not None else "ema"
+        raise ValueError(f"mode mismatch: ema_mode is {params.ema_mode!r}, bank uses {founded!r}")
+    dim = width or (kept[0][1].embedding.shape[0] if kept else 0)
     for _, det in kept:
         d = det.embedding.shape[0]
-        if dim is None:
-            dim = d
-        elif d != dim:
+        if d != dim:
             raise ValueError(f"dimension mismatch: embedding has {d} components, bank uses {dim}")
+    if not width:
+        bank.prototypes = np.zeros((0, dim))
+        bank.sums = np.zeros((0, dim)) if mean_mode else None
+    embeddings = np.stack([det.embedding for _, det in kept]) if kept else np.zeros((0, dim))
 
     pairs = []
-    if bank.tracks and kept:
-        prototypes = np.stack([t.prototype for t in bank.tracks])
-        embeddings = np.stack([det.embedding for _, det in kept])
-        similarity = similarity_matrix(prototypes, embeddings)
+    if len(bank.track_ids) and kept:
+        similarity = similarity_matrix(bank.prototypes, embeddings)
         pairs = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s).pairs
-    det_of_track = dict(pairs)
-
-    assignments = []
-    for ti, track in enumerate(bank.tracks):
-        dj = det_of_track.get(ti)
-        if dj is None:
-            track.age += 1
-            continue
-        raw_index, det = kept[dj]
-        _absorb(track, det.embedding, params)
-        track.age = 0
-        assignments.append((track.track_id, raw_index, det.box))
-    pruned = [t.track_id for t in bank.tracks if t.age > params.tau_a]
-    bank.tracks = [t for t in bank.tracks if t.age <= params.tau_a]
-
-    matched_dets = set(det_of_track.values())
-    new_ids = []
-    for dj, (raw_index, det) in enumerate(kept):
-        if dj in matched_dets:
-            continue
-        track_id = bank.next_id
-        bank.next_id += 1
-        # _absorb only rebinds prototype and embedding_sum, so one copy serves both.
-        embedding = det.embedding.copy()
-        bank.tracks.append(
-            Track(
-                track_id=track_id,
-                prototype=embedding,
-                age=0,
-                born_at=frame,
-                embedding_sum=embedding,
-            )
-        )
-        new_ids.append(track_id)
-        assignments.append((track_id, raw_index, det.box))
-    bank.dim = dim
-
-    assignments.sort(key=lambda entry: entry[0])
-    return FrameResult(frame, assignments, new_ids, sorted(pruned))
-
-
-def _absorb(track: Track, embedding: np.ndarray, params: TrackerParams) -> None:
-    # Rebind, never update in place: a new track's two fields share one array.
-    if params.ema_mode == "ema":
-        blended = params.alpha * track.prototype + (1.0 - params.alpha) * embedding
+    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+    if mean_mode:
+        bank.sums[rows] += embeddings[cols]
+        blended = bank.sums[rows]
     else:
-        track.embedding_sum = blended = track.embedding_sum + embedding
-    try:
-        track.prototype = normalize(blended)
-    except ValueError:
-        # The blend of finite unit vectors can only fail as the zero vector: a
-        # match opposite to its prototype (a gate at tau_s = -1 admits one)
-        # cancels it.  The prototype then takes the detection's embedding.
-        track.prototype = embedding.copy()
+        blended = params.alpha * bank.prototypes[rows] + (1.0 - params.alpha) * embeddings[cols]
+    for row, col, mix in zip(rows, cols, blended):
+        try:
+            bank.prototypes[row] = normalize(mix)
+        except ValueError:
+            # The blend of finite unit vectors can only fail as the zero vector: a
+            # match opposite to its prototype (a gate at tau_s = -1 admits one)
+            # cancels it.  The prototype then takes the detection's embedding.
+            bank.prototypes[row] = embeddings[col]
+
+    bank.ages += 1
+    bank.ages[rows] = 0
+    keep = bank.ages <= params.tau_a
+    founders = np.delete(np.arange(len(kept)), cols)
+    new_ids = np.arange(bank.next_id, bank.next_id + len(founders))
+    labels = np.concatenate([bank.track_ids[rows], new_ids]).tolist()
+    dets = np.concatenate([cols, founders]).tolist()
+    assignments = [(track_id, kept[dj][0], kept[dj][1].box) for track_id, dj in zip(labels, dets)]
+    assignments.sort(key=lambda entry: entry[0])
+    pruned = bank.track_ids[~keep].tolist()
+
+    bank.next_id += len(founders)
+    bank.track_ids = np.concatenate([bank.track_ids[keep], new_ids])
+    bank.ages = np.concatenate([bank.ages[keep], np.zeros_like(new_ids)])
+    bank.born_at = np.concatenate([bank.born_at[keep], np.full_like(new_ids, frame)])
+    bank.prototypes = np.vstack([bank.prototypes[keep], embeddings[founders]])
+    if mean_mode:
+        bank.sums = np.vstack([bank.sums[keep], embeddings[founders]])
+    return FrameResult(frame, assignments, new_ids.tolist(), sorted(pruned))
 
 
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:

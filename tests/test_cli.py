@@ -126,9 +126,9 @@ class TestTrack:
         assert main(["track", "--detections", str(bad), "--out", str(tmp_path / "r.txt")]) == 1
         assert "missing #dim header" in capsys.readouterr().err
 
-    # The noise draws are finite but their squared norm overflows, which
-    # numpy reports before normalize rescales the vector.
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # The noise draws are finite but their squared norm overflows;
+    # normalize rescales the vector without a numpy warning.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_finite_embedding_noise_tracks(self, tmp_path, capsys):
         config = tmp_path / "scene.cfg"
         config.write_text("n_frames=3\nn_leaves=2\nembedding_dim=4\nembedding_noise_std=1e300\n")
@@ -179,6 +179,15 @@ class TestTrack:
 
 
 class TestEval:
+    def test_iou_outside_unit_interval_is_usage_error(self, pipeline, capsys):
+        out_dir, results = pipeline
+        capsys.readouterr()
+        code = main(
+            ["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results), "--iou", "0"]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: iou_threshold must lie in (0, 1], got 0.0\n"
+
     def test_perfect_pipeline_scores_hundred(self, pipeline, capsys):
         out_dir, results = pipeline
         code = main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results)])
@@ -435,6 +444,23 @@ class TestTriplets:
 
 
 class TestSweep:
+    def test_iou_outside_unit_interval_is_usage_error(self, pipeline, capsys):
+        out_dir, _ = pipeline
+        capsys.readouterr()
+        code = main(
+            [
+                "sweep",
+                "--detections",
+                str(out_dir / "det.txt"),
+                "--gt",
+                str(out_dir / "gt.txt"),
+                "--iou",
+                "1.5",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: iou_threshold must lie in (0, 1], got 1.5\n"
+
     def test_single_cell_matches_eval(self, pipeline, tmp_path, capsys):
         out_dir, results = pipeline
         code = main(

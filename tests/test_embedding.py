@@ -44,13 +44,13 @@ class TestNormalize:
             for v in (block[:, 0].copy(), block[:, 1], block[::-1, 0]):
                 assert np.array_equal(normalize(v), v / np.linalg.norm(v))
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_finite_vector_with_out_of_range_square_is_rescaled(self):
         # Each squared norm overflows or underflows; dividing by the largest
         # entry first gives exactly the direction of [1, 1].
         expected = normalize(np.array([1.0, 1.0]))
         for big_or_tiny in (1e200, 1e300, 1e-200):
-            with np.errstate(over="ignore"):
-                out = normalize(np.array([big_or_tiny, big_or_tiny]))
+            out = normalize(np.array([big_or_tiny, big_or_tiny]))
             assert out.tobytes() == expected.tobytes()
 
     def test_idempotent_bitwise(self):

@@ -24,6 +24,7 @@ DELETED_NAMES = (
     "det_a",
     "ass_a",
     "id_switches",
+    "Track",
 )
 SRC = str(Path(frond.__file__).resolve().parents[1])
 

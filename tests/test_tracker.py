@@ -12,7 +12,6 @@ from frond import (
     Detection,
     MemoryBank,
     ScenarioConfig,
-    Track,
     TrackerParams,
     generate,
     normalize,
@@ -47,17 +46,47 @@ def step_inputs(draw):
         conf_min=draw(st.sampled_from([0.0, 0.5, 1.0])),
         ema_mode=draw(st.sampled_from(["ema", "mean"])),
     )
-    bank = MemoryBank(next_id=1, dim=3)
+    track_ids, rows, ages = [], [], []
+    next_id = 1
     for _ in range(draw(st.integers(0, 5))):
-        prototype = normalize(draw(EMBEDDINGS))
-        bank.tracks.append(Track(bank.next_id, prototype, draw(st.integers(0, tau_a)), 0, prototype))
-        bank.next_id += draw(st.integers(1, 3))
+        rows.append(normalize(draw(EMBEDDINGS)))
+        track_ids.append(next_id)
+        ages.append(draw(st.integers(0, tau_a)))
+        next_id += draw(st.integers(1, 3))
+    prototypes = np.array(rows).reshape(-1, 3)
+    bank = MemoryBank(
+        prototypes=prototypes,
+        track_ids=np.array(track_ids, dtype=np.int64),
+        ages=np.array(ages, dtype=np.int64),
+        born_at=np.zeros(len(rows), dtype=np.int64),
+        sums=prototypes.copy() if params.ema_mode == "mean" else None,
+        next_id=next_id,
+    )
     confidences = st.sampled_from([0.2, 0.5, 0.9])
     detections = [
         Detection(BBox(10.0 * k, 0.0, 5.0, 5.0), draw(confidences), np.array(e, dtype=float))
         for k, e in enumerate(draw(st.lists(EMBEDDINGS, max_size=6)))
     ]
     return bank, detections, params
+
+
+@st.composite
+def frame_sequences(draw):
+    """A short run of frames of detections, and params, for a bank from empty."""
+    params = TrackerParams(
+        tau_s=draw(st.sampled_from([-1.0, 0.0, 0.3, 0.5])),
+        tau_a=draw(st.integers(0, 2)),
+        ema_mode=draw(st.sampled_from(["ema", "mean"])),
+    )
+    frame = st.lists(st.tuples(EMBEDDINGS, st.sampled_from([0.2, 0.9])), max_size=5)
+    frames = [
+        [
+            Detection(BBox(10.0 * k, 0.0, 5.0, 5.0), conf, np.array(e, dtype=float))
+            for k, (e, conf) in enumerate(rows)
+        ]
+        for rows in draw(st.lists(frame, min_size=1, max_size=6))
+    ]
+    return frames, params
 
 
 class TestParams:
@@ -120,20 +149,20 @@ class TestInitBank:
         params = TrackerParams()
         bank = MemoryBank()
         result = step(bank, [det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params, 1)
-        assert [t.track_id for t in bank.tracks] == [1]
+        assert bank.track_ids.tolist() == [1]
         assert result.new_track_ids == [1]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
 
     def test_exact_threshold_kept(self):
         bank = MemoryBank()
         step(bank, [det(axis(4, 0), conf=0.5)], TrackerParams(), 1)
-        assert [t.track_id for t in bank.tracks] == [1]
+        assert bank.track_ids.tolist() == [1]
 
     def test_ids_follow_detection_order(self):
         dets = [det(axis(8, k), u=20.0 * k) for k in range(5)]
         bank = MemoryBank()
         result = step(bank, dets, TrackerParams(), 1)
-        assert [t.track_id for t in bank.tracks] == [1, 2, 3, 4, 5]
+        assert bank.track_ids.tolist() == [1, 2, 3, 4, 5]
         assert result.new_track_ids == [1, 2, 3, 4, 5]
         assert [j for _, j, _ in result.assignments] == [0, 1, 2, 3, 4]
 
@@ -141,14 +170,14 @@ class TestInitBank:
         dets = [det([3.0, 4.0])]
         bank = MemoryBank()
         step(bank, dets, TrackerParams(), 1)
-        assert bank.tracks[0].prototype == pytest.approx([0.6, 0.8], abs=1e-12)
-        assert bank.tracks[0].age == 0
-        assert bank.tracks[0].born_at == 1
+        assert bank.prototypes[0] == pytest.approx([0.6, 0.8], abs=1e-12)
+        assert bank.ages[0] == 0
+        assert bank.born_at[0] == 1
 
     def test_disable_with_high_conf_min(self):
         bank = MemoryBank()
         result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
-        assert [t.track_id for t in bank.tracks] == []
+        assert bank.track_ids.tolist() == []
         assert result.assignments == []
 
     @pytest.mark.parametrize("mode", ["ema", "mean"])
@@ -159,9 +188,9 @@ class TestInitBank:
         bank = MemoryBank()
         step(bank, [first], params, 1)
         first.embedding[:] = [1.0, 0.0]
-        assert bank.tracks[0].prototype == pytest.approx([0.6, 0.8], abs=1e-12)
+        assert bank.prototypes[0] == pytest.approx([0.6, 0.8], abs=1e-12)
         step(bank, [det([0.0, 1.0])], params, 2)
-        assert bank.tracks[0].prototype == pytest.approx(normalize(np.array([0.6, 1.8])), abs=1e-12)
+        assert bank.prototypes[0] == pytest.approx(normalize(np.array([0.6, 1.8])), abs=1e-12)
 
 
 class TestStep:
@@ -170,11 +199,11 @@ class TestStep:
         e = np.array([3.0, 4.0])
         bank = MemoryBank()
         step(bank, [det(e)], params, 1)
-        before = bank.tracks[0].prototype.copy()
+        before = bank.prototypes[0].copy()
         result = step(bank, [det(e)], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
-        assert bank.tracks[0].age == 0
-        assert np.array_equal(bank.tracks[0].prototype, before)
+        assert bank.ages[0] == 0
+        assert np.array_equal(bank.prototypes[0], before)
 
     def test_ema_blend_is_renormalized(self):
         # alpha=0.5 blend of (1,0) and (0,1) is (0.5, 0.5); stored
@@ -183,23 +212,23 @@ class TestStep:
         bank = MemoryBank()
         step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [det(axis(2, 1))], params, frame=2)
-        assert bank.tracks[0].prototype == pytest.approx([0.707107, 0.707107], abs=1e-6)
-        assert abs(np.linalg.norm(bank.tracks[0].prototype) - 1.0) <= 1e-9
+        assert bank.prototypes[0] == pytest.approx([0.707107, 0.707107], abs=1e-6)
+        assert abs(np.linalg.norm(bank.prototypes[0]) - 1.0) <= 1e-9
 
     def test_alpha_one_freezes_prototype(self):
         params = TrackerParams(alpha=1.0, tau_s=-1.0)
         bank = MemoryBank()
         step(bank, [det(axis(2, 0))], params, 1)
-        before = bank.tracks[0].prototype.copy()
+        before = bank.prototypes[0].copy()
         step(bank, [det([0.6, 0.8])], params, frame=2)
-        assert np.array_equal(bank.tracks[0].prototype, before)
+        assert np.array_equal(bank.prototypes[0], before)
 
     def test_alpha_zero_takes_latest_embedding(self):
         params = TrackerParams(alpha=0.0, tau_s=-1.0)
         bank = MemoryBank()
         step(bank, [det(axis(2, 0))], params, 1)
         step(bank, [det([0.6, 0.8])], params, frame=2)
-        assert np.array_equal(bank.tracks[0].prototype, np.array([0.6, 0.8]))
+        assert np.array_equal(bank.prototypes[0], np.array([0.6, 0.8]))
 
     def test_mean_mode_uses_uniform_history(self):
         params = TrackerParams(tau_s=-1.0, ema_mode="mean")
@@ -209,7 +238,7 @@ class TestStep:
         step(bank, [det(axis(2, 1))], params, frame=3)
         # History (1,0), (1,0), (0,1): normalized mean is (2,1)/sqrt(5).
         expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
-        assert bank.tracks[0].prototype == pytest.approx(expected, abs=1e-12)
+        assert bank.prototypes[0] == pytest.approx(expected, abs=1e-12)
 
     def test_ema_prototypes_are_the_blend_bit_for_bit(self):
         # Replays a noisy seeded scene: after every frame each matched
@@ -231,9 +260,9 @@ class TestStep:
         bank = MemoryBank()
         matched = 0
         for frame in sorted(frames):
-            before = {t.track_id: t.prototype for t in bank.tracks}
+            before = {tid: p.copy() for tid, p in zip(bank.track_ids.tolist(), bank.prototypes)}
             result = step(bank, frames[frame], params, frame)
-            after = {t.track_id: t.prototype for t in bank.tracks}
+            after = dict(zip(bank.track_ids.tolist(), bank.prototypes))
             for track_id, j, _ in result.assignments:
                 e = frames[frame][j].embedding
                 if track_id in result.new_track_ids:
@@ -242,6 +271,42 @@ class TestStep:
                     expected = normalize(params.alpha * before[track_id] + (1.0 - params.alpha) * e)
                     matched += 1
                 assert np.array_equal(after[track_id], expected)
+        assert matched > 50
+
+    def test_mean_prototypes_are_the_normalized_sum_bit_for_bit(self):
+        # The same scene in mean mode: after every frame each track's sum
+        # must equal its absorbed embeddings added in order, exactly, and
+        # each matched prototype normalize(sum).
+        cfg = ScenarioConfig(
+            n_frames=20,
+            n_leaves=6,
+            miss_prob=0.1,
+            fp_rate=0.5,
+            conf_lo=0.4,
+            embedding_dim=16,
+            embedding_noise_std=0.1,
+            embedding_drift_rate=0.02,
+            seed=5,
+        )
+        _, frames, _ = generate(cfg)
+        params = TrackerParams(ema_mode="mean")
+        bank = MemoryBank()
+        sums = {}
+        matched = 0
+        for frame in sorted(frames):
+            result = step(bank, frames[frame], params, frame)
+            after = dict(zip(bank.track_ids.tolist(), zip(bank.prototypes, bank.sums)))
+            for track_id, j, _ in result.assignments:
+                e = frames[frame][j].embedding
+                if track_id in result.new_track_ids:
+                    sums[track_id] = e
+                    expected = e
+                else:
+                    sums[track_id] = sums[track_id] + e
+                    expected = normalize(sums[track_id])
+                    matched += 1
+                assert np.array_equal(after[track_id][0], expected)
+                assert np.array_equal(after[track_id][1], sums[track_id])
         assert matched > 50
 
     @pytest.mark.parametrize("ema_mode", ["ema", "mean"])
@@ -253,7 +318,7 @@ class TestStep:
         step(bank, [det(axis(3, 0))], params, 1)
         result = step(bank, [det(axis(3, 0, sign=-1.0))], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
-        assert np.array_equal(bank.tracks[0].prototype, axis(3, 0, sign=-1.0))
+        assert np.array_equal(bank.prototypes[0], axis(3, 0, sign=-1.0))
 
     def test_gated_detection_founds_new_track(self):
         params = TrackerParams()
@@ -264,8 +329,8 @@ class TestStep:
         result = step(bank, [far], params, frame=2)
         assert result.new_track_ids == [2]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(2, 0)]
-        assert [t.track_id for t in bank.tracks] == [1, 2]
-        assert bank.tracks[0].age == 1
+        assert bank.track_ids.tolist() == [1, 2]
+        assert bank.ages[0] == 1
 
     def test_age_increments_and_prunes_after_tau_a(self):
         params = TrackerParams(tau_a=5)
@@ -274,10 +339,10 @@ class TestStep:
         for empty_frame in range(2, 7):
             result = step(bank, [], params, frame=empty_frame)
             assert result.pruned_track_ids == []
-            assert bank.tracks[0].age == empty_frame - 1
+            assert bank.ages[0] == empty_frame - 1
         result = step(bank, [], params, frame=7)
         assert result.pruned_track_ids == [1]
-        assert [t.track_id for t in bank.tracks] == []
+        assert bank.track_ids.tolist() == []
 
     def test_reappearance_within_tau_a_keeps_id(self):
         params = TrackerParams(tau_a=5)
@@ -289,7 +354,7 @@ class TestStep:
         result = step(bank, [det(e)], params, frame=7)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
         assert result.new_track_ids == []
-        assert bank.tracks[0].age == 0
+        assert bank.ages[0] == 0
 
     def test_tau_a_zero_prunes_on_first_miss(self):
         params = TrackerParams(tau_a=0)
@@ -314,6 +379,25 @@ class TestStep:
         with pytest.raises(ValueError, match="dimension mismatch"):
             step(bank, [det(axis(8, 0))], params, frame=2)
 
+    @pytest.mark.parametrize("founded, other", [("ema", "mean"), ("mean", "ema")])
+    def test_mode_mismatch_rejected(self, founded, other):
+        bank = MemoryBank()
+        step(bank, [det(axis(4, 0))], TrackerParams(ema_mode=founded), 1)
+        prototypes = bank.prototypes.copy()
+        for frame in ([det(axis(4, 0))], []):
+            with pytest.raises(ValueError, match="mode mismatch"):
+                step(bank, frame, TrackerParams(ema_mode=other), 2)
+        assert np.array_equal(bank.prototypes, prototypes)
+        assert bank.ages.tolist() == [0]
+
+    def test_unfounded_bank_takes_either_mode(self):
+        # A frame with no kept detection founds nothing, so it fixes no mode.
+        bank = MemoryBank()
+        step(bank, [det(axis(4, 0), conf=0.1)], TrackerParams(ema_mode="mean"), 1)
+        step(bank, [det(axis(4, 0))], TrackerParams(ema_mode="ema"), 2)
+        assert bank.track_ids.tolist() == [1]
+        assert bank.sums is None
+
     def test_each_surviving_detection_labeled_once(self):
         rng = np.random.default_rng(19)
         params = TrackerParams(conf_min=0.5)
@@ -336,26 +420,52 @@ class TestStep:
     @given(step_inputs())
     def test_property_step_accounts_for_every_track_and_detection(self, inputs):
         bank, detections, params = inputs
-        before = {t.track_id: (t, t.age) for t in bank.tracks}
+        before = dict(zip(bank.track_ids.tolist(), bank.ages.tolist()))
         first_new_id = bank.next_id
         result = step(bank, detections, params, frame=1)
 
         kept = [j for j, d in enumerate(detections) if d.confidence >= params.conf_min]
         assert sorted(j for _, j, _ in result.assignments) == kept
         labelled = {track_id for track_id, _, _ in result.assignments}
-        for track_id, (track, age) in before.items():
-            if track_id in labelled:
-                assert track.age == 0
-            else:
-                assert track.age == age + 1
+        # A pruned track leaves the bank, so the age step gave it is read
+        # from the survivors only; pruning is then checked against it.
+        age_now = {tid: 0 if tid in labelled else age + 1 for tid, age in before.items()}
+        after = dict(zip(bank.track_ids.tolist(), bank.ages.tolist()))
+        for track_id, age in age_now.items():
+            if track_id not in result.pruned_track_ids:
+                assert after[track_id] == age
         assert result.pruned_track_ids == sorted(
-            track_id for track_id, (track, _) in before.items() if track.age > params.tau_a
+            track_id for track_id, age in age_now.items() if age > params.tau_a
         )
         assert result.new_track_ids == list(range(first_new_id, bank.next_id))
         survivors = [tid for tid in before if tid not in result.pruned_track_ids]
-        assert [t.track_id for t in bank.tracks] == survivors + result.new_track_ids
+        assert bank.track_ids.tolist() == survivors + result.new_track_ids
         det_of_new = {tid: j for tid, j, _ in result.assignments if tid in result.new_track_ids}
         assert [det_of_new[tid] for tid in result.new_track_ids] == sorted(det_of_new.values())
+
+    @settings(max_examples=200, deadline=None)
+    @given(frame_sequences())
+    def test_property_bank_rows_stay_consistent(self, inputs):
+        frames, params = inputs
+        bank = MemoryBank()
+        absorbed, born = {}, {}
+        for frame, detections in enumerate(frames, start=1):
+            result = step(bank, detections, params, frame)
+            for track_id, j, _ in result.assignments:
+                e = detections[j].embedding
+                if track_id in result.new_track_ids:
+                    absorbed[track_id], born[track_id] = e, frame
+                else:
+                    absorbed[track_id] = absorbed[track_id] + e
+            n = len(bank.track_ids)
+            assert bank.prototypes.shape[0] == len(bank.ages) == len(bank.born_at) == n
+            assert np.all(np.abs(np.linalg.norm(bank.prototypes, axis=1) - 1.0) <= 1e-12)
+            assert bank.born_at.tolist() == [born[tid] for tid in bank.track_ids.tolist()]
+            assert (bank.sums is not None) == (params.ema_mode == "mean")
+            if bank.sums is not None:
+                assert bank.sums.shape == bank.prototypes.shape
+                for track_id, row in zip(bank.track_ids.tolist(), bank.sums):
+                    assert np.array_equal(row, absorbed[track_id])
 
     def test_matching_ignores_detection_order(self):
         params = TrackerParams(tau_s=-1.0)
