@@ -6,15 +6,15 @@ where boxes are; AssA/IDF1 care about who they belong to; MOTA charges
 for everything.
 """
 
-from frond import (
-    BBox,
+from frond.geometry import BBox
+from frond.metrics import (
     GtAnnotation,
-    TrackedBox,
     daily_accuracy,
     evaluate,
     leaf_accuracy_matrix,
     match_frames,
 )
+from frond.tracker import TrackedBox
 
 
 def make_gt(n_frames=10, n_leaves=2):

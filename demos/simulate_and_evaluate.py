@@ -7,16 +7,9 @@ IoU-only tracker loses every identity when the plant turns.
 
 import math
 
-from frond import (
-    ScenarioConfig,
-    TrackerParams,
-    baseline_iou_tracker,
-    evaluate,
-    format_report,
-    generate,
-    run_sequence,
-    tracked_boxes,
-)
+from frond.metrics import evaluate, format_report
+from frond.simulator import ScenarioConfig, baseline_iou_tracker, generate
+from frond.tracker import TrackerParams, run_sequence, tracked_boxes
 
 
 def main():

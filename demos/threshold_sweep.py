@@ -6,14 +6,9 @@ matches, while a very low gate lets stale tracks grab clutter.  The
 default tau_s=0.4 sits in the comfortable middle.
 """
 
-from frond import (
-    ScenarioConfig,
-    TrackerParams,
-    evaluate,
-    generate,
-    run_sequence,
-    tracked_boxes,
-)
+from frond.metrics import evaluate
+from frond.simulator import ScenarioConfig, generate
+from frond.tracker import TrackerParams, run_sequence, tracked_boxes
 
 
 def main():

@@ -7,17 +7,18 @@ does: matches, EMA updates, aging, pruning, and new track creation.
 
 import numpy as np
 
-from frond import BBox, Detection, MemoryBank, TrackerParams, step
+from frond.geometry import BBox
+from frond.tracker import Detection, MemoryBank, TrackerParams, step
 
 
 def leaf_detection(u, embedding, conf=0.95):
     return Detection(BBox(u, 50.0, 24.0, 24.0), conf, np.asarray(embedding, dtype=float))
 
 
-def describe(bank):
+def describe(bank, born):
     # Row i of each bank field belongs to one live track.
-    rows = zip(bank.track_ids, bank.ages, bank.born_at)
-    parts = [f"id {track_id} (age {age}, born frame {born_at})" for track_id, age, born_at in rows]
+    rows = zip(bank.track_ids, bank.ages)
+    parts = [f"id {track_id} (age {age}, born frame {born[track_id]})" for track_id, age in rows]
     return ", ".join(parts) if parts else "(empty)"
 
 
@@ -28,6 +29,7 @@ def main():
 
     params = TrackerParams()  # tau_s=0.4, tau_a=5, alpha=0.5, conf_min=0.5
     bank = MemoryBank()
+    born = {}  # track id -> the frame that founded it
     print(f"params: tau_s={params.tau_s} tau_a={params.tau_a} alpha={params.alpha}")
 
     # Frames 1-10: leaf "b" disappears during frames 4-8 (5 misses) and
@@ -45,6 +47,7 @@ def main():
             for k, name in enumerate(script[frame])
         ]
         result = step(bank, dets, params, frame)
+        born.update(dict.fromkeys(result.new_track_ids, frame))
         labels = " ".join(
             f"{script[frame][j]}->id{tid}" for tid, j, _ in result.assignments
         )
@@ -55,7 +58,7 @@ def main():
             notes.append(f"pruned {result.pruned_track_ids}")
         print(f"frame {frame:2d}: {labels:40s} {' '.join(notes)}")
 
-    print("final bank:", describe(bank))
+    print("final bank:", describe(bank, born))
     print()
     print("leaf b kept its id across the 5-frame gap because tau_a=5")
     print("allows exactly five consecutive misses before pruning.")

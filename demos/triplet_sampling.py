@@ -8,7 +8,7 @@ triplet margin loss to watch it fall.
 
 import numpy as np
 
-from frond import (
+from frond.embedding import (
     CROSS_PLANT_FLEXIBLE,
     INTRA_PLANT_FULL_CYCLE,
     INTRA_PLANT_TEMPORAL_WINDOW,

@@ -193,10 +193,8 @@ def match_frames(
     for frame in frames:
         g_rows = gt_by_frame.get(frame, [])
         p_rows = pred_by_frame.get(frame, [])
-        pairs = []
-        if g_rows and p_rows:
-            overlap = iou_matrix([r.box for r in g_rows], [r.box for r in p_rows])
-            pairs = match_by_iou(overlap, iou_threshold)
+        overlap = iou_matrix([r.box for r in g_rows], [r.box for r in p_rows])
+        pairs = match_by_iou(overlap, iou_threshold)
         matches[frame] = [
             (g_rows[gi].leaf_id, p_rows[pj].track_id, float(overlap[gi, pj])) for gi, pj in pairs
         ]

@@ -16,6 +16,9 @@ from .geometry import BBox, iou_matrix
 from .metrics import GtAnnotation, match_by_iou
 from .tracker import Detection, FrameResult
 
+# A clutter box's side is at least this fraction of the shorter frame side.
+CLUTTER_MIN_SIDE = 0.03
+
 
 def logistic_area(area_max: float, rate: float, midpoint: float, frame: int) -> float:
     """Leaf area on a logistic growth curve: area_max / (1 + exp(-rate * (frame - midpoint)))."""
@@ -84,6 +87,15 @@ class ScenarioConfig:
                 raise ValueError(f"{name} must be finite, got {value}")
         if self.fp_rate < 0.0:
             raise ValueError(f"fp_rate must be non-negative, got {self.fp_rate}")
+        # More clutter per frame than the smallest clutter boxes could tile is
+        # no longer noise, and at 1e300 the Poisson sampler refuses the rate.
+        smallest = CLUTTER_MIN_SIDE * min(self.frame_width, self.frame_height)
+        most = self.frame_width * self.frame_height / smallest**2
+        if self.fp_rate > most:
+            raise ValueError(
+                f"fp_rate must not exceed {most:g} clutter boxes per frame, "
+                f"got {self.fp_rate}"
+            )
         if self.box_jitter_std < 0.0 or self.embedding_noise_std < 0.0:
             raise ValueError("noise standard deviations must be non-negative")
         # Beyond the frame a jitter is no longer noise, and at 1e300 IoU overflows.
@@ -209,7 +221,7 @@ def generate(cfg: ScenarioConfig):
         if cfg.fp_rate:
             for _ in range(int(rng.poisson(cfg.fp_rate))):
                 extent = min(cfg.frame_width, cfg.frame_height)
-                size = rng.uniform(0.03, 0.09) * extent
+                size = rng.uniform(CLUTTER_MIN_SIDE, 0.09) * extent
                 u = rng.uniform(0.0, cfg.frame_width - size)
                 v = rng.uniform(0.0, cfg.frame_height - size)
                 confidence = float(rng.uniform(cfg.conf_lo, cfg.conf_hi))

@@ -66,8 +66,8 @@ class TrackerParams:
 class MemoryBank:
     """Live tracks as rows of one matrix, in creation order, plus the id allocator.
 
-    Row i of each field is one track: unit-norm prototype, id, age (frames
-    since its last match) and founding frame; sums, the sum of the absorbed
+    Row i of each field is one track: unit-norm prototype, id and age
+    (frames since its last match); sums, the sum of the absorbed
     embeddings, exists only in mean mode.  The first founding fixes the mode
     and the width of prototypes, 0 until then.  step updates matched rows in
     place, so copy a row to keep it across a step.
@@ -76,7 +76,6 @@ class MemoryBank:
     prototypes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
     track_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     ages: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    born_at: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     sums: np.ndarray | None = None
     next_id: int = 1
 
@@ -167,7 +166,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     bank.next_id += len(founders)
     bank.track_ids = np.concatenate([bank.track_ids[keep], new_ids])
     bank.ages = np.concatenate([bank.ages[keep], np.zeros_like(new_ids)])
-    bank.born_at = np.concatenate([bank.born_at[keep], np.full_like(new_ids, frame)])
     bank.prototypes = np.vstack([bank.prototypes[keep], embeddings[founders]])
     if mean_mode:
         bank.sums = np.vstack([bank.sums[keep], embeddings[founders]])

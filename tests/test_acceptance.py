@@ -10,36 +10,29 @@ import time
 import numpy as np
 import pytest
 
-from frond import (
-    BBox,
-    Detection,
-    GtAnnotation,
+from frond.assignment import hungarian
+from frond.embedding import (
+    CROSS_PLANT_FLEXIBLE,
+    INTRA_PLANT_FULL_CYCLE,
+    INTRA_PLANT_TEMPORAL_WINDOW,
     SamplingStrategy,
-    ScenarioConfig,
-    TrackedBox,
-    TrackerParams,
-    baseline_iou_tracker,
-    evaluate,
-    generate,
-    hungarian,
     normalize,
+    sample_triplets,
+    triplet_margin_loss,
+)
+from frond.fileio import (
     read_detections,
     read_gt,
     read_results,
-    run_sequence,
-    sample_triplets,
-    tracked_boxes,
-    triplet_margin_loss,
     write_detections,
     write_gt,
     write_results,
     write_truth_map,
 )
-from frond.embedding import (
-    CROSS_PLANT_FLEXIBLE,
-    INTRA_PLANT_FULL_CYCLE,
-    INTRA_PLANT_TEMPORAL_WINDOW,
-)
+from frond.geometry import BBox
+from frond.metrics import GtAnnotation, evaluate
+from frond.simulator import ScenarioConfig, baseline_iou_tracker, generate
+from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
 from oracles import brute_idf1, brute_mota, min_assignment_total
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frond import Assignment, gate_assignment, hungarian, similarity_matrix
+from frond.assignment import Assignment, gate_assignment, hungarian, similarity_matrix
 
 from oracles import min_assignment_total
 

@@ -1,26 +1,25 @@
 """End-to-end command behavior through main(argv)."""
 
+from itertools import product
+
 import numpy as np
 import pytest
 
 import frond.metrics
-from frond import (
-    BBox,
-    GtAnnotation,
-    TrackedBox,
-    TrackerParams,
-    generate,
-    hungarian,
+from frond.assignment import hungarian
+from frond.cli import main
+from frond.fileio import (
     read_gt,
     read_results,
     read_scenario_config,
     read_triplets,
-    run_sequence,
-    tracked_boxes,
     write_gt,
     write_results,
 )
-from frond.cli import main
+from frond.geometry import BBox
+from frond.metrics import GtAnnotation, evaluate
+from frond.simulator import generate
+from frond.tracker import TrackedBox, TrackerParams, run_sequence, tracked_boxes
 
 CLEAN_SCENARIO = (
     "n_frames=10\n"
@@ -493,6 +492,43 @@ class TestSweep:
         assert cells[:3] == ["0.4", "0.5", "ema"]
         assert cells[3] == reference["hota"]
         assert cells[6] == reference["mota"]
+
+    def test_every_cell_equals_the_library_pipeline(self, tmp_path):
+        # A noisy scene, so that the cells differ in every metric but DetA.
+        config = tmp_path / "scene.cfg"
+        config.write_text(
+            "n_frames=12\nn_leaves=4\nframe_width=256\nframe_height=256\nembedding_dim=8\n"
+            "embedding_noise_std=0.5\nmiss_prob=0.1\nfp_rate=0.5\nrotation_events=6:1.0\nseed=3\n"
+        )
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        out = tmp_path / "sweep.csv"
+        grid = dict(tau_s=(-0.2, 0.3, 0.7), alpha=(0.2, 0.9), ema_mode=("ema", "mean"))
+        code = main(
+            [
+                "sweep",
+                "--detections",
+                str(out_dir / "det.txt"),
+                "--gt",
+                str(out_dir / "gt.txt"),
+                # The = form, since the first value starts with a minus sign.
+                "--tau-s=" + ",".join(map(repr, grid["tau_s"])),
+                "--alpha=" + ",".join(map(repr, grid["alpha"])),
+                "--ema-mode=" + ",".join(grid["ema_mode"]),
+                "--out",
+                str(out),
+            ]
+        )
+        assert code == 0
+        gt, frames, _ = generate(read_scenario_config(config))
+        expected = ["tau_s,alpha,mode,hota,deta,assa,mota,idf1"]
+        for tau_s, alpha, mode in product(*grid.values()):
+            params = TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
+            report = evaluate(gt, tracked_boxes(run_sequence(frames, params)))
+            scores = [repr(getattr(report, name)) for name in ("hota", "deta", "assa", "mota", "idf1")]
+            expected.append(",".join([repr(tau_s), repr(alpha), mode, *scores]))
+        assert out.read_text().splitlines() == expected
+        assert len({row.split(",", 3)[3] for row in expected[1:]}) > 6
 
     def test_grid_order(self, pipeline, tmp_path):
         out_dir, _ = pipeline

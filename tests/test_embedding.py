@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from frond import (
+from frond.assignment import similarity_matrix
+from frond.embedding import (
     CROSS_PLANT_FLEXIBLE,
     INTRA_PLANT_FULL_CYCLE,
     INTRA_PLANT_TEMPORAL_WINDOW,
@@ -12,7 +13,6 @@ from frond import (
     TripletSpec,
     normalize,
     sample_triplets,
-    similarity_matrix,
     triplet_margin_loss,
 )
 

@@ -7,17 +7,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from frond import (
-    BBox,
-    CropRef,
-    Detection,
-    GtAnnotation,
-    ScenarioConfig,
-    TrackedBox,
-    TrackerParams,
-    TripletSpec,
-    leaf_accuracy_matrix,
-    match_frames,
+from frond.embedding import CropRef, TripletSpec
+from frond.fileio import (
+    _read_config,
     read_detections,
     read_gt,
     read_results,
@@ -25,8 +17,6 @@ from frond import (
     read_tracker_params,
     read_triplets,
     read_truth_map,
-    run_sequence,
-    tracked_boxes,
     write_detections,
     write_gt,
     write_leaf_matrix_csv,
@@ -34,7 +24,10 @@ from frond import (
     write_triplets,
     write_truth_map,
 )
-from frond.fileio import _read_config
+from frond.geometry import BBox
+from frond.metrics import GtAnnotation, leaf_accuracy_matrix, match_frames
+from frond.simulator import CLUTTER_MIN_SIDE, ScenarioConfig
+from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
 
 
 def sample_frames(rng, n_frames=3, per_frame=2, dim=6):
@@ -899,6 +892,7 @@ def scenario_configs(draw):
     windows = st.tuples(st.integers(1, n_leaves), st.integers(1, n_frames), st.integers(1, n_frames))
     frame_width = draw(st.integers(32, 4096))
     frame_height = draw(st.integers(32, 4096))
+    smallest_clutter = CLUTTER_MIN_SIDE * min(frame_width, frame_height)
     return ScenarioConfig(
         n_frames=n_frames,
         n_leaves=n_leaves,
@@ -910,7 +904,7 @@ def scenario_configs(draw):
             (leaf, min(a, b), max(a, b)) for leaf, a, b in draw(st.lists(windows, max_size=4))
         ),
         miss_prob=draw(_UNIT),
-        fp_rate=draw(_NON_NEGATIVE),
+        fp_rate=draw(st.floats(0.0, frame_width * frame_height / smallest_clutter**2)),
         box_jitter_std=draw(st.floats(0.0, max(frame_width, frame_height))),
         conf_lo=conf_lo,
         conf_hi=conf_hi,

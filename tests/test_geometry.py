@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from frond import BBox, iou_matrix
+from frond.geometry import BBox, iou_matrix
 
 from oracles import _iou
 

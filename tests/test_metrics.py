@@ -8,13 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frond import (
+from frond.geometry import BBox
+from frond.metrics import (
     CELL_ABSENT,
     CELL_CORRECT,
     CELL_FAILURE,
-    BBox,
     GtAnnotation,
-    TrackedBox,
     daily_accuracy,
     evaluate,
     format_report,
@@ -23,6 +22,7 @@ from frond import (
     match_frames,
     report_from_table,
 )
+from frond.tracker import TrackedBox
 from oracles import _best_frame_matching, _iou, brute_idf1, brute_mota, match_counts
 
 

@@ -1,6 +1,8 @@
-"""The lazy package and the CLI's BLAS pin, each checked in a fresh interpreter."""
+"""The empty package file, the CLI's BLAS pin and the README's code, each in a fresh interpreter."""
 
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -26,7 +28,68 @@ DELETED_NAMES = (
     "id_switches",
     "Track",
 )
+# Names the package once re-exported, by the module that defines them; each
+# is now imported from that module only.
+FORMER_EXPORTS = {
+    "assignment": ("Assignment", "gate_assignment", "hungarian", "similarity_matrix"),
+    "embedding": (
+        "CROSS_PLANT_FLEXIBLE",
+        "INTRA_PLANT_FULL_CYCLE",
+        "INTRA_PLANT_TEMPORAL_WINDOW",
+        "CropRef",
+        "SamplingStrategy",
+        "TripletSpec",
+        "normalize",
+        "sample_triplets",
+        "triplet_margin_loss",
+    ),
+    "fileio": (
+        "read_detections",
+        "read_gt",
+        "read_results",
+        "read_scenario_config",
+        "read_tracker_params",
+        "read_triplets",
+        "read_truth_map",
+        "write_detections",
+        "write_gt",
+        "write_leaf_matrix_csv",
+        "write_results",
+        "write_triplets",
+        "write_truth_map",
+    ),
+    "geometry": ("BBox", "iou_matrix"),
+    "metrics": (
+        "CELL_ABSENT",
+        "CELL_CORRECT",
+        "CELL_FAILURE",
+        "GtAnnotation",
+        "LeafAccuracyMatrix",
+        "MatchTable",
+        "MetricReport",
+        "daily_accuracy",
+        "evaluate",
+        "format_report",
+        "format_report_machine",
+        "leaf_accuracy_matrix",
+        "match_frames",
+        "report_from_table",
+    ),
+    "simulator": ("ScenarioConfig", "baseline_iou_tracker", "generate", "logistic_area"),
+    "tracker": (
+        "Detection",
+        "FrameResult",
+        "MemoryBank",
+        "TrackedBox",
+        "TrackerParams",
+        "run_sequence",
+        "step",
+        "tracked_boxes",
+    ),
+}
+FORMER_NAMES = tuple(name for names in FORMER_EXPORTS.values() for name in names)
 SRC = str(Path(frond.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 # Records OPENBLAS_NUM_THREADS at the moment numpy starts to load.
 SPY_ON_NUMPY = """
@@ -69,35 +132,45 @@ def test_exported_blas_setting_wins():
     assert run_python(code, OMP_NUM_THREADS="3", MKL_NUM_THREADS="4") == "1 3 4\n"
 
 
-def test_every_export_resolves_to_its_module_attribute():
+def test_package_exposes_only_its_version():
     code = """
-import importlib, frond
-for name in frond.__all__:
-    owner = importlib.import_module("frond." + frond._MODULE_OF[name])
-    assert getattr(frond, name) is getattr(owner, name), name
+import frond
 namespace = {}
 exec("from frond import *", namespace)
-assert set(frond.__all__) <= set(namespace), set(frond.__all__) - set(namespace)
-assert set(frond.__all__) <= set(dir(frond))
-print(len(frond.__all__))
+print(frond.__version__, [n for n in vars(frond) if not n.startswith("_")], sorted(namespace))
 """
-    assert run_python(code) == f"{len(frond.__all__)}\n"
+    assert run_python(code) == f"{frond.__version__} [] ['__builtins__']\n"
+
+
+def test_every_former_export_lives_in_its_module():
+    for module, names in FORMER_EXPORTS.items():
+        owner = importlib.import_module(f"frond.{module}")
+        assert [n for n in names if not hasattr(owner, n)] == [], module
 
 
 def test_unknown_attribute_raises_attribute_error():
     code = """
 import frond
-for name in %r:
+for name in %r + %r:
     try:
         getattr(frond, name)
     except AttributeError as err:
         print(err)
 print(hasattr(frond, "no_such_name"))
-""" % (DELETED_NAMES,)
-    expected = "".join(f"module 'frond' has no attribute {name!r}\n" for name in DELETED_NAMES)
+""" % (DELETED_NAMES, FORMER_NAMES)
+    expected = "".join(
+        f"module 'frond' has no attribute {name!r}\n" for name in DELETED_NAMES + FORMER_NAMES
+    )
     assert run_python(code) == expected + "False\n"
 
 
-def test_submodules_import_through_the_lazy_package():
+def test_submodules_import_through_the_package():
     out = run_python("from frond import fileio, tracker; print(fileio.__name__, tracker.step.__module__)")
     assert out == "frond.fileio frond.tracker\n"
+
+
+def test_every_readme_python_block_runs():
+    blocks = re.findall(r"^```python\n(.*?)^```$", README.read_text(), flags=re.M | re.S)
+    assert blocks
+    for block in blocks:
+        run_python(block)

@@ -5,14 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from frond import (
-    BBox,
-    Detection,
+from frond.geometry import BBox
+from frond.simulator import (
+    CLUTTER_MIN_SIDE,
     ScenarioConfig,
     baseline_iou_tracker,
     generate,
     logistic_area,
 )
+from frond.tracker import Detection
 
 
 def clean_cfg(**overrides):
@@ -95,6 +96,18 @@ class TestConfigValidation:
             )
         expected = f"box_jitter_std must not exceed the longer frame side 600, got {value}"
         assert str(err.value) == expected
+
+    def test_fp_rate_is_bounded_by_what_the_frame_holds(self):
+        # Checked at the validator only: a rate near the bound draws millions of boxes.
+        most = 600 * 400 / (CLUTTER_MIN_SIDE * 400) ** 2
+        ScenarioConfig(n_frames=5, n_leaves=2, frame_width=600, frame_height=400, fp_rate=most)
+        for value in (math.nextafter(most, math.inf), 1e9, 1e300):
+            with pytest.raises(ValueError) as err:
+                ScenarioConfig(
+                    n_frames=5, n_leaves=2, frame_width=600, frame_height=400, fp_rate=value
+                )
+            expected = f"fp_rate must not exceed 1666.67 clutter boxes per frame, got {value}"
+            assert str(err.value) == expected
 
     def test_rejects_negative_seed_with_exact_message(self):
         # numpy's generator refuses it, so it would fail only once generate runs.

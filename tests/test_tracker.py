@@ -7,18 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frond import (
-    BBox,
-    Detection,
-    MemoryBank,
-    ScenarioConfig,
-    TrackerParams,
-    generate,
-    normalize,
-    run_sequence,
-    step,
-    tracked_boxes,
-)
+from frond.embedding import normalize
+from frond.geometry import BBox
+from frond.simulator import ScenarioConfig, generate
+from frond.tracker import Detection, MemoryBank, TrackerParams, run_sequence, step, tracked_boxes
 
 
 def axis(dim: int, index: int, sign: float = 1.0) -> np.ndarray:
@@ -58,7 +50,6 @@ def step_inputs(draw):
         prototypes=prototypes,
         track_ids=np.array(track_ids, dtype=np.int64),
         ages=np.array(ages, dtype=np.int64),
-        born_at=np.zeros(len(rows), dtype=np.int64),
         sums=prototypes.copy() if params.ema_mode == "mean" else None,
         next_id=next_id,
     )
@@ -172,7 +163,6 @@ class TestInitBank:
         step(bank, dets, TrackerParams(), 1)
         assert bank.prototypes[0] == pytest.approx([0.6, 0.8], abs=1e-12)
         assert bank.ages[0] == 0
-        assert bank.born_at[0] == 1
 
     def test_disable_with_high_conf_min(self):
         bank = MemoryBank()
@@ -448,19 +438,18 @@ class TestStep:
     def test_property_bank_rows_stay_consistent(self, inputs):
         frames, params = inputs
         bank = MemoryBank()
-        absorbed, born = {}, {}
+        absorbed = {}
         for frame, detections in enumerate(frames, start=1):
             result = step(bank, detections, params, frame)
             for track_id, j, _ in result.assignments:
                 e = detections[j].embedding
                 if track_id in result.new_track_ids:
-                    absorbed[track_id], born[track_id] = e, frame
+                    absorbed[track_id] = e
                 else:
                     absorbed[track_id] = absorbed[track_id] + e
             n = len(bank.track_ids)
-            assert bank.prototypes.shape[0] == len(bank.ages) == len(bank.born_at) == n
+            assert bank.prototypes.shape[0] == len(bank.ages) == n
             assert np.all(np.abs(np.linalg.norm(bank.prototypes, axis=1) - 1.0) <= 1e-12)
-            assert bank.born_at.tolist() == [born[tid] for tid in bank.track_ids.tolist()]
             assert (bank.sums is not None) == (params.ema_mode == "mean")
             if bank.sums is not None:
                 assert bank.sums.shape == bank.prototypes.shape
