@@ -21,14 +21,8 @@ from itertools import product
 from pathlib import Path
 
 from . import fileio, metrics
-from .embedding import STRATEGY_KINDS, SamplingStrategy, sample_triplets
-from .metrics import (
-    IOU_THRESHOLD,
-    evaluate,
-    format_report,
-    format_report_machine,
-    leaf_accuracy_matrix,
-)
+from .embedding import STRATEGY_KINDS, SamplingStrategy, check_count_and_seed, sample_triplets
+from .metrics import IOU_THRESHOLD, format_report, format_report_machine, leaf_accuracy_matrix
 from .simulator import generate
 from .tracker import TrackerParams, run_sequence, tracked_boxes
 
@@ -100,6 +94,10 @@ def _cmd_triplets(args) -> int:
         strategy = SamplingStrategy(args.strategy, args.delta_t)
     except ValueError as err:
         raise _UsageError(f"triplets strategy: {err}") from None
+    try:
+        check_count_and_seed(args.count, args.seed)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
     corpus = {}
     for plant_id, path in enumerate(args.gt_corpus):
         times = defaultdict(set)
@@ -122,7 +120,7 @@ def _parse_float_list(raw: str, flag: str) -> list[float]:
 def _cmd_sweep(args) -> int:
     tau_s_values = _parse_float_list(args.tau_s, "--tau-s")
     alpha_values = _parse_float_list(args.alpha, "--alpha")
-    modes = [part for part in args.ema_mode.split(",") if part.strip() != ""]
+    modes = [part.strip() for part in args.ema_mode.split(",") if part.strip() != ""]
     if not tau_s_values or not alpha_values or not modes:
         raise _UsageError("sweep grid must be non-empty on every axis")
     try:
@@ -135,9 +133,13 @@ def _cmd_sweep(args) -> int:
     _check_iou(args.iou)
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
+    runs = (  # each run as frame -> [(track_id, detection index)]
+        {res.frame: [a[:2] for a in res.assignments] for res in run_sequence(frames, params)}
+        for params in grid
+    )
     lines = [",".join(_SWEEP_COLUMNS)]
-    for params in grid:
-        report = evaluate(gt, tracked_boxes(run_sequence(frames, params)), args.iou)
+    for params, table in zip(grid, metrics.match_runs(gt, frames, runs, args.iou)):
+        report = metrics.report_from_table(table)
         scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
         lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores]))
     text = "\n".join(lines) + "\n"

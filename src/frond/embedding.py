@@ -56,6 +56,25 @@ def normalize(values) -> np.ndarray:
     return v / norm
 
 
+def normalize_rows(rows) -> np.ndarray:
+    """normalize of every row of a 2-d array, bit for bit, in one batch.
+
+    On C-contiguous rows a stacked matmul gives each row's x.x exactly as
+    np.vdot does (on column-strided rows it may not); rows whose square
+    lies outside [smallest normal, inf) go through normalize, which raises
+    on a zero or non-finite row.
+    """
+    m = np.ascontiguousarray(rows, dtype=np.float64)
+    with np.errstate(all="ignore"):  # only rows that normalize redoes below can warn
+        sq = np.matmul(m[:, None, :], m[:, :, None]).reshape(len(m))
+        norm = np.sqrt(sq)
+        # Division by 1.0 is exact, so a row already of unit norm is kept.
+        out = m / np.where(np.abs(norm - 1.0) <= _UNIT_TOL, 1.0, norm)[:, None]
+    for i in np.flatnonzero(~((sq >= _SMALLEST_NORMAL) & (sq < math.inf))):
+        out[i] = normalize(m[i])
+    return out
+
+
 def triplet_margin_loss(anchor, positive, negative, margin: float = 0.3):
     """Margin loss over squared distances, with its subgradients.
 
@@ -124,6 +143,13 @@ class SamplingStrategy:
             raise ValueError(f"delta_t is only valid with {INTRA_PLANT_TEMPORAL_WINDOW}")
 
 
+def check_count_and_seed(count: int, seed: int) -> None:
+    """Raise ValueError unless the triplet count and the RNG seed are non-negative."""
+    for name, value in (("count", count), ("seed", seed)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
+
+
 def sample_triplets(
     corpus: Mapping[int, Mapping[int, Sequence[int]]],
     strategy: SamplingStrategy,
@@ -150,11 +176,10 @@ def sample_triplets(
         seed: RNG seed; equal seeds give byte-identical output.
 
     Raises:
-        ValueError: "unsatisfiable triplet" when no anchor exists or no
-            valid negative is found within 1000 attempts.
+        ValueError: on a negative count or seed, or "unsatisfiable triplet"
+            when no anchor exists or no valid negative in 1000 attempts.
     """
-    if count < 0:
-        raise ValueError(f"count must be non-negative, got {count}")
+    check_count_and_seed(count, seed)
     times_by_leaf: dict[tuple[int, int], list[int]] = {}
     for plant_id in sorted(corpus):
         for leaf_id in sorted(corpus[plant_id]):

@@ -2,10 +2,12 @@
 
 All metrics run at a single localization threshold: a prediction counts
 as a true positive only where a per-frame minimum-cost matching pairs it
-with a ground-truth box at IoU >= iou_threshold.  match_frames builds that
-table; report_from_table is the one reduction of it to DetA, AssA, HOTA,
-MOTA, IDF1 and ID switches.  A table counts its (gt, pred) identity pairs
-and solves its IDF1 bijection once, for AssA, IDF1 and the leaf matrix.
+with a ground-truth box at IoU >= iou_threshold.  match_runs builds that
+table for many tracker runs from one per-frame IoU matrix (match_frames is
+its one-run case); report_from_table is the one reduction of it to DetA,
+AssA, HOTA, MOTA, IDF1 and ID switches.  A table counts its (gt, pred)
+identity pairs and solves its IDF1 bijection once, for AssA, IDF1 and the
+leaf matrix.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, fields
 from functools import cached_property
-from typing import Iterable
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -183,28 +185,50 @@ def match_frames(
             iou_threshold outside (0, 1].
     """
     check_iou_threshold(iou_threshold)
-    gt_by_frame = _group_by_frame(gt, "leaf_id", "ground-truth")
     pred_by_frame = _group_by_frame(pred, "track_id", "prediction")
+    run = {f: [(r.track_id, j) for j, r in enumerate(rows)] for f, rows in pred_by_frame.items()}
+    return next(match_runs(gt, pred_by_frame, [run], iou_threshold))
 
-    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
-    matches: dict = {}
-    misses: dict = {}
-    false_alarms: dict = {}
-    for frame in frames:
+
+def match_runs(
+    gt: Iterable[GtAnnotation],
+    frames: Mapping[int, Sequence],
+    runs: Iterable[Mapping[int, Sequence[tuple[int, int]]]],
+    iou_threshold: float = IOU_THRESHOLD,
+) -> Iterator[MatchTable]:
+    """One MatchTable per tracker run over frames.
+
+    frames maps frame -> detections, the input of every run; each run
+    maps frame -> [(track_id, detection index)], the predictions it made
+    there (a frame left out or mapped to [] has none).  Ground truth is
+    grouped, and its IoU against each frame's detections worked out,
+    once; each run takes its columns by its detection indices.  This is
+    the one place a MatchTable is built.
+
+    Raises:
+        ValueError: as match_frames does.
+    """
+    check_iou_threshold(iou_threshold)
+    gt_by_frame = _group_by_frame(gt, "leaf_id", "ground-truth")
+    overlaps = {}
+    for frame in set(gt_by_frame) | set(frames):
         g_rows = gt_by_frame.get(frame, [])
-        p_rows = pred_by_frame.get(frame, [])
-        overlap = iou_matrix([r.box for r in g_rows], [r.box for r in p_rows])
-        pairs = match_by_iou(overlap, iou_threshold)
-        matches[frame] = [
-            (g_rows[gi].leaf_id, p_rows[pj].track_id, float(overlap[gi, pj])) for gi, pj in pairs
-        ]
-        matched_g = {gi for gi, _ in pairs}
-        matched_p = {pj for _, pj in pairs}
-        misses[frame] = sorted(r.leaf_id for i, r in enumerate(g_rows) if i not in matched_g)
-        false_alarms[frame] = sorted(
-            r.track_id for j, r in enumerate(p_rows) if j not in matched_p
-        )
-    return MatchTable(frames=frames, matches=matches, misses=misses, false_alarms=false_alarms)
+        boxes = [det.box for det in frames.get(frame, [])]
+        overlaps[frame] = ([r.leaf_id for r in g_rows], iou_matrix([r.box for r in g_rows], boxes))
+    for run in runs:
+        predicted = {f for f, rows in run.items() if rows}
+        table = MatchTable(sorted(set(gt_by_frame) | predicted), {}, {}, {})
+        for frame in table.frames:
+            gt_ids, all_columns = overlaps[frame]
+            rows = run.get(frame, [])
+            overlap = all_columns[:, [j for _, j in rows]]
+            pairs = match_by_iou(overlap, iou_threshold)
+            matched_g = {gi for gi, _ in pairs}
+            matched_p = {pj for _, pj in pairs}
+            table.matches[frame] = [(gt_ids[gi], rows[pj][0], float(overlap[gi, pj])) for gi, pj in pairs]
+            table.misses[frame] = sorted(g for i, g in enumerate(gt_ids) if i not in matched_g)
+            table.false_alarms[frame] = sorted(t for j, (t, _) in enumerate(rows) if j not in matched_p)
+        yield table
 
 
 def _association_accuracy(table: MatchTable) -> float:

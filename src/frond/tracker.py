@@ -15,7 +15,7 @@ from typing import Iterable, Mapping
 import numpy as np
 
 from .assignment import gate_assignment, hungarian, similarity_matrix
-from .embedding import normalize
+from .embedding import normalize, normalize_rows
 from .geometry import BBox
 
 EMA_MODES = ("ema", "mean")
@@ -131,7 +131,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     if not width:
         bank.prototypes = np.zeros((0, dim))
         bank.sums = np.zeros((0, dim)) if mean_mode else None
-    embeddings = np.stack([det.embedding for _, det in kept]) if kept else np.zeros((0, dim))
+    embeddings = np.array([det.embedding for _, det in kept]) if kept else np.zeros((0, dim))
 
     pairs = []
     if len(bank.track_ids) and kept:
@@ -143,14 +143,11 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         blended = bank.sums[rows]
     else:
         blended = params.alpha * bank.prototypes[rows] + (1.0 - params.alpha) * embeddings[cols]
-    for row, col, mix in zip(rows, cols, blended):
-        try:
-            bank.prototypes[row] = normalize(mix)
-        except ValueError:
-            # The blend of finite unit vectors can only fail as the zero vector: a
-            # match opposite to its prototype (a gate at tau_s = -1 admits one)
-            # cancels it.  The prototype then takes the detection's embedding.
-            bank.prototypes[row] = embeddings[col]
+    # A blend of finite unit vectors normalizes unless it is zero: a match opposite to
+    # its prototype (tau_s = -1 admits one) cancels it and takes the detection's embedding.
+    cancelled = ~blended.any(axis=1)
+    blended[cancelled] = embeddings[cols[cancelled]]
+    bank.prototypes[rows] = normalize_rows(blended)
 
     bank.ages += 1
     bank.ages[rows] = 0

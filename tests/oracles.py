@@ -126,3 +126,28 @@ def brute_idf1(gt, pred, thr=0.5) -> float:
     if total_gt == 0 and total_pred == 0:
         return 1.0
     return 2.0 * best_idtp / (total_gt + total_pred)
+
+
+def prototype_update(prototype, total, embedding, alpha, mean_mode):
+    """One matched track's (prototype, total) after absorbing embedding, row by row.
+
+    EMA mode blends alpha * prototype + (1 - alpha) * embedding; mean mode
+    adds embedding to the running total (None in EMA mode) and takes
+    that.  The blend is then scaled to unit norm: x.x by np.vdot, kept
+    as it is within 1e-12 of unit norm, divided by its norm otherwise.
+    A blend of exactly zero (an opposite match) takes the embedding.
+    The blends of unit vectors never leave the normal range, so no
+    rescaling branch is needed here.
+    """
+    if mean_mode:
+        total = total + embedding
+        mix = total
+    else:
+        mix = alpha * prototype + (1.0 - alpha) * embedding
+    square = float(np.vdot(mix, mix))
+    if square == 0.0:
+        return embedding.copy(), total
+    norm = math.sqrt(square)
+    if abs(norm - 1.0) <= 1e-12:
+        return mix.copy(), total
+    return mix / norm, total

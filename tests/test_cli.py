@@ -383,6 +383,31 @@ class TestTriplets:
         assert "delta_t" in err
         assert "no such file" not in err
 
+    # The corpus file does not exist: the value must be refused before it is opened.
+    @pytest.mark.parametrize("flag, message", [
+        ("--count", "count must be non-negative, got -1"),
+        ("--seed", "seed must be non-negative, got -1"),
+    ])
+    def test_negative_count_or_seed_is_checked_before_any_corpus_file(
+        self, tmp_path, capsys, flag, message
+    ):
+        argv = {"--count": "5", "--seed": "0", flag: "-1"}
+        code = main(
+            [
+                "triplets",
+                "--gt-corpus",
+                str(tmp_path / "missing.txt"),
+                "--strategy",
+                "cross_plant_flexible",
+                *[part for pair in argv.items() for part in pair],
+                "--out",
+                str(tmp_path / "t.txt"),
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "t.txt").exists()
+
     def test_delta_t_with_other_strategy_is_usage_error(self, tmp_path, capsys):
         plant = tmp_path / "a.txt"
         write_plant_gt(plant)
@@ -559,6 +584,31 @@ class TestSweep:
             for m in ("ema", "mean")
         ]
         assert rows == expected
+
+    def test_spaces_around_list_parts_are_ignored_on_every_axis(self, pipeline, tmp_path):
+        out_dir, _ = pipeline
+        outputs = []
+        for tau_s, mode in (("0.3,0.4", "ema,mean"), ("0.3, 0.4", " ema , mean")):
+            out = tmp_path / "sweep.csv"
+            code = main(
+                [
+                    "sweep",
+                    "--detections",
+                    str(out_dir / "det.txt"),
+                    "--gt",
+                    str(out_dir / "gt.txt"),
+                    "--tau-s",
+                    tau_s,
+                    "--ema-mode",
+                    mode,
+                    "--out",
+                    str(out),
+                ]
+            )
+            assert code == 0
+            outputs.append(out.read_text())
+        assert outputs[1] == outputs[0]
+        assert [row.split(",")[2] for row in outputs[0].splitlines()[1:]] == ["ema", "mean"] * 2
 
     def test_bad_float_list_is_usage_error(self, pipeline, capsys):
         out_dir, _ = pipeline

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frond.assignment import similarity_matrix
 from frond.embedding import (
@@ -11,7 +13,9 @@ from frond.embedding import (
     CropRef,
     SamplingStrategy,
     TripletSpec,
+    check_count_and_seed,
     normalize,
+    normalize_rows,
     sample_triplets,
     triplet_margin_loss,
 )
@@ -64,6 +68,62 @@ class TestNormalize:
         for _ in range(100):
             v = normalize(rng.normal(size=8) * rng.uniform(0.01, 100))
             assert abs(np.linalg.norm(v) - 1.0) <= 1e-9
+
+
+# Row kinds for normalize_rows: plain scales, rows within 1e-12 of unit
+# norm, finite rows whose squared norm overflows or underflows, and rows
+# normalize rejects.
+ROW_KINDS = ("plain", "near_unit", "overflow", "underflow", "zero", "nan", "inf")
+
+
+@st.composite
+def row_blocks(draw):
+    """A (rows, dim) block with dim in 2..600, each row of a drawn kind, as given or strided."""
+    dim = draw(st.integers(2, 600))
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), max_size=6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rows = []
+    for kind in kinds:
+        x = rng.normal(size=dim)
+        if kind == "plain":
+            x *= 10.0 ** draw(st.integers(-150, 150))
+        elif kind == "near_unit":
+            x = x / np.linalg.norm(x) * (1.0 + draw(st.floats(-9e-13, 9e-13)))
+        elif kind == "overflow":
+            x *= 10.0 ** draw(st.integers(155, 307))
+        elif kind == "underflow":
+            x *= 10.0 ** draw(st.integers(-320, -155))
+        elif kind == "zero":
+            x[:] = 0.0
+        else:
+            x[int(rng.integers(dim))] = np.nan if kind == "nan" else -np.inf
+        rows.append(x)
+    block = np.array(rows).reshape(-1, dim)
+    if draw(st.booleans()):
+        block = np.repeat(block, 2, axis=1)[:, ::2]  # the same values through strided rows
+    return block
+
+
+class TestNormalizeRows:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @settings(max_examples=300, deadline=None)
+    @given(row_blocks())
+    def test_property_equals_normalize_row_by_row_bitwise(self, block):
+        try:
+            expected = np.array([normalize(x) for x in block]).reshape(block.shape)
+        except ValueError as err:
+            with pytest.raises(ValueError) as batch_err:
+                normalize_rows(block)
+            assert str(batch_err.value) == str(err)
+            return
+        out = normalize_rows(block)
+        assert out.shape == block.shape
+        assert out.tobytes() == expected.tobytes()
+
+    def test_input_is_not_modified(self):
+        block = np.array([[3.0, 4.0], [1.0, 0.0]])
+        normalize_rows(block)
+        assert block.tolist() == [[3.0, 4.0], [1.0, 0.0]]
 
 
 class TestCosineSimilarity:
@@ -200,6 +260,18 @@ class TestSampleTriplets:
         assert sample_triplets(small_corpus(), strategy, 50, seed=1) != sample_triplets(
             small_corpus(), strategy, 50, seed=2
         )
+
+    @pytest.mark.parametrize("count, seed, message", [
+        (-1, 0, "count must be non-negative, got -1"),
+        (5, -1, "seed must be non-negative, got -1"),
+    ])
+    def test_negative_count_or_seed_rejected(self, count, seed, message):
+        with pytest.raises(ValueError) as err:
+            check_count_and_seed(count, seed)
+        assert str(err.value) == message
+        with pytest.raises(ValueError) as err:
+            sample_triplets(small_corpus(), SamplingStrategy(CROSS_PLANT_FLEXIBLE), count, seed)
+        assert str(err.value) == message
 
     def test_count_zero(self):
         assert sample_triplets(small_corpus(), SamplingStrategy(CROSS_PLANT_FLEXIBLE), 0, 0) == []

@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from frond.embedding import normalize
 from frond.geometry import BBox
 from frond.simulator import ScenarioConfig, generate
 from frond.tracker import Detection, MemoryBank, TrackerParams, run_sequence, step, tracked_boxes
+from oracles import prototype_update
 
 
 def axis(dim: int, index: int, sign: float = 1.0) -> np.ndarray:
@@ -455,6 +456,59 @@ class TestStep:
                 assert bank.sums.shape == bank.prototypes.shape
                 for track_id, row in zip(bank.track_ids.tolist(), bank.sums):
                     assert np.array_equal(row, absorbed[track_id])
+
+    @settings(max_examples=200, deadline=None)
+    @example(
+        inputs=([[det(axis(3, 0))], [det(axis(3, 0, sign=-1.0))]], TrackerParams(tau_s=-1.0)),
+        alpha=0.5, noise=0.0, seed=0, mirrored=False,
+    )
+    @example(
+        inputs=([[det(axis(3, 1))]], TrackerParams(tau_s=-1.0, ema_mode="mean")),
+        alpha=0.5, noise=0.0, seed=0, mirrored=True,
+    )
+    @given(
+        frame_sequences(),
+        st.sampled_from([0.0, 0.3, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.1]),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    def test_property_bank_equals_row_by_row_reference(self, inputs, alpha, noise, seed, mirrored):
+        # Every prototype, and in mean mode every sum, must equal the
+        # reference update's bytes after every frame.  tau_s = -1 admits
+        # opposite matches, whose blend (alpha 0.5) or sum cancels to zero
+        # when noise is 0; mirrored follows each frame with its negation.
+        frames, params = inputs
+        if mirrored:
+            frames = [
+                f
+                for dets in frames
+                for f in (dets, [Detection(d.box, d.confidence, -d.embedding) for d in dets])
+            ]
+        params = TrackerParams(tau_s=params.tau_s, tau_a=params.tau_a, alpha=alpha, ema_mode=params.ema_mode)
+        mean_mode = params.ema_mode == "mean"
+        rng = np.random.default_rng(seed)
+        for detections in frames:
+            for d in detections:
+                d.embedding = normalize(d.embedding + noise * rng.normal(size=3))
+        bank = MemoryBank()
+        reference = {}
+        for frame, detections in enumerate(frames, start=1):
+            result = step(bank, detections, params, frame)
+            for track_id, j, _ in result.assignments:
+                e = detections[j].embedding
+                if track_id in result.new_track_ids:
+                    reference[track_id] = (e, e if mean_mode else None)
+                else:
+                    reference[track_id] = prototype_update(*reference[track_id], e, alpha, mean_mode)
+            for track_id in result.pruned_track_ids:
+                del reference[track_id]
+            assert bank.track_ids.tolist() == sorted(reference)
+            for row, track_id in enumerate(bank.track_ids.tolist()):
+                prototype, total = reference[track_id]
+                assert bank.prototypes[row].tobytes() == prototype.tobytes()
+                if mean_mode:
+                    assert bank.sums[row].tobytes() == total.tobytes()
 
     def test_matching_ignores_detection_order(self):
         params = TrackerParams(tau_s=-1.0)
