@@ -189,7 +189,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--detections", required=True)
     sweep.add_argument("--gt", required=True)
     defaults = TrackerParams()
-    sweep.add_argument("--tau-s", default=str(defaults.tau_s), help="comma-separated tau_s values")
+    tau_s_help = "comma-separated; a negative first value needs the = form, --tau-s=-1,0.4"
+    sweep.add_argument("--tau-s", default=str(defaults.tau_s), help=tau_s_help)
     sweep.add_argument("--alpha", default=str(defaults.alpha), help="comma-separated EMA weights")
     sweep.add_argument("--ema-mode", default=defaults.ema_mode, help="comma-separated: ema, mean")
     sweep.add_argument("--iou", type=float, default=IOU_THRESHOLD)

@@ -5,8 +5,10 @@ Every format is line-oriented text except the detection embeddings, which
 go to a binary `.npy` sidecar beside the detection file.  Floats are
 written with shortest round-trip formatting, text files end with a
 trailing newline, and line endings are always LF, so equal inputs produce
-byte-identical files.  Every comma-separated format is read through one
-row loop, so a bad line is reported the same way in each of them.
+byte-identical files.  A bad line is named as `path:lineno: message`:
+comma-separated rows get the prefix in the one row loop they share, the
+detection header and the key=value reader add it themselves, and the
+parse helpers say only what is wrong.
 Detections, ground truth and results share the frame,id,x,y,w,h columns,
 which one formatter writes; ground truth and results are read by one
 reader.
@@ -24,7 +26,7 @@ import numpy as np
 
 from .embedding import CropRef, TripletSpec
 from .geometry import BBox
-from .metrics import CELL_ABSENT, CELL_CORRECT, GtAnnotation, LeafAccuracyMatrix
+from .metrics import CELL_ABSENT, CELL_CORRECT, CELL_FAILURE, GtAnnotation, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
 from .tracker import Detection, TrackedBox, TrackerParams
 
@@ -33,30 +35,31 @@ _GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
 _RESULT_FIELDS = ("frame", "track id", "x", "y", "w", "h", "confidence")
 _TRUTH_MAP_FIELDS = ("frame", "detection index", "leaf id")
 _TRIPLET_FIELDS = ("triplet field",) * 7
+_CELL_TEXT = {CELL_CORRECT: "1", CELL_FAILURE: "0", CELL_ABSENT: ""}
 
 
 def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _malformed(token: str, path, lineno: int, what: str) -> ValueError:
-    return ValueError(f"{path}:{lineno}: malformed {what}: {token!r}")
+def _malformed(token: str, what: str) -> ValueError:
+    return ValueError(f"malformed {what}: {token!r}")
 
 
-def _parse_int(token: str, path, lineno: int, what: str) -> int:
+def _parse_int(token: str, what: str) -> int:
     try:
         return int(token)
     except ValueError:
-        raise _malformed(token, path, lineno, what) from None
+        raise _malformed(token, what) from None
 
 
-def _parse_float(token: str, path, lineno: int, what: str) -> float:
+def _parse_float(token: str, what: str) -> float:
     try:
         value = float(token)
     except ValueError:
-        raise _malformed(token, path, lineno, what) from None
+        raise _malformed(token, what) from None
     if not math.isfinite(value):
-        raise ValueError(f"{path}:{lineno}: non-finite {what}: {token!r}")
+        raise ValueError(f"non-finite {what}: {token!r}")
     return value
 
 
@@ -70,43 +73,37 @@ def _strict(text: str) -> bool:
     return text.isascii() and "_" not in text and " " not in text and "\t" not in text
 
 
-def _rows(path, lines: list[str], names: tuple[str, ...], first_lineno: int = 1):
-    """Yield (lineno, fields) for each comma-separated line.
+def _rows(path, lines: list[str], names: tuple[str, ...], parse, first_lineno: int = 1) -> list:
+    """parse(fields) for each comma-separated line, in order.
 
     A line must have one field per name, and no field may hold what
     _strict rejects; the first such field is reported as malformed.  The
-    strict check runs once per line, not per field.
+    strict check runs once per line, not per field.  A ValueError from
+    these checks or from parse is raised again as `path:lineno: message`.
     """
+    out = []
     for lineno, line in enumerate(lines, start=first_lineno):
         fields = line.split(",")
-        if len(fields) != len(names):
-            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(fields)}")
-        if not _strict(line):
-            token, what = next((t, w) for t, w in zip(fields, names) if not _strict(t))
-            raise _malformed(token, path, lineno, what)
-        yield lineno, fields
+        try:
+            if len(fields) != len(names):
+                raise ValueError(f"expected {len(names)} fields, got {len(fields)}")
+            if not _strict(line):
+                raise _malformed(*next((t, w) for t, w in zip(fields, names) if not _strict(t)))
+            out.append(parse(fields))
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
+    return out
 
 
-def _frame(token: str, path, lineno: int) -> int:
-    frame = _parse_int(token, path, lineno, "frame")
+def _frame(token: str) -> int:
+    frame = _parse_int(token, "frame")
     if frame < 1:
-        raise ValueError(f"{path}:{lineno}: frame indices start at 1, got {frame}")
+        raise ValueError(f"frame indices start at 1, got {frame}")
     return frame
 
 
-def _floats(tokens: list[str], names, path, lineno: int) -> list[float]:
-    """Convert float fields in one pass; a bad line is parsed again for its message."""
-    try:
-        values = [float(token) for token in tokens]
-        valid = all(map(math.isfinite, values))
-    except ValueError:
-        valid = False
-    if not valid:
-        # Parse the line again field by field; this raises naming the
-        # first bad field and its token.
-        for token, what in zip(tokens, names):
-            _parse_float(token, path, lineno, what)
-    return values
+def _floats(tokens: list[str], names) -> list[float]:
+    return [_parse_float(token, what) for token, what in zip(tokens, names)]
 
 
 def _box_line(frame: int, row_id: int, box: BBox, tail: str = "") -> str:
@@ -122,23 +119,19 @@ def _read_boxes(path, names: tuple[str, ...], row) -> list:
     is built from the first four.
     """
     what = names[1]
-    rows = []
     seen = set()
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), names):
-        frame = _frame(fields[0], path, lineno)
-        row_id = _parse_int(fields[1], path, lineno, what)
+
+    def parse(fields):
+        frame = _frame(fields[0])
+        row_id = _parse_int(fields[1], what)
         if row_id < 1:
-            raise ValueError(f"{path}:{lineno}: {what}s start at 1, got {row_id}")
+            raise ValueError(f"{what}s start at 1, got {row_id}")
         if (frame, row_id) in seen:
-            key = what.replace(" ", "_")
-            raise ValueError(f"{path}:{lineno}: duplicate (frame, {key}) = ({frame}, {row_id})")
+            raise ValueError(f"duplicate (frame, {what.replace(' ', '_')}) = ({frame}, {row_id})")
         seen.add((frame, row_id))
-        values = _floats(fields[2:], names[2:], path, lineno)
-        try:
-            rows.append(row(frame, row_id, BBox(*values[:4])))
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    return rows
+        return row(frame, row_id, BBox(*_floats(fields[2:], names[2:])[:4]))
+
+    return _rows(path, Path(path).read_text().splitlines(), names, parse)
 
 
 def _write_lines(path, lines: list[str]) -> None:
@@ -192,38 +185,40 @@ def read_detections(path) -> dict[int, list[Detection]]:
             sidecar when it is missing or not a (rows, D) float64 array.
     """
     lines = Path(path).read_text().splitlines()
-    if not lines:
-        raise ValueError(f"{path}:1: missing #dim header")
-    header = _HEADER_RE.fullmatch(lines[0])
-    if not header:
-        raise ValueError(f"{path}:1: missing #dim header, got {lines[0]!r}")
-    dim = int(header.group(1))
-    if dim < 1:
-        raise ValueError(f"{path}:1: embedding dimension must be at least 1")
     frames: dict[int, list[Detection]] = {}
-    last_frame = 0
-    for token in header.group(2).split(",") if header.group(2) else ():
-        frame = _frame(token, path, 1)
-        if frame <= last_frame:
-            raise ValueError(f"{path}:1: empty frames must be strictly ascending")
-        last_frame = frame
-        frames[frame] = []
+    try:
+        if not lines:
+            raise ValueError("missing #dim header")
+        header = _HEADER_RE.fullmatch(lines[0])
+        if not header:
+            raise ValueError(f"missing #dim header, got {lines[0]!r}")
+        dim = int(header.group(1))
+        if dim < 1:
+            raise ValueError("embedding dimension must be at least 1")
+        for token in header.group(2).split(",") if header.group(2) else ():
+            frame = _frame(token)
+            if frame <= next(reversed(frames), 0):
+                raise ValueError("empty frames must be strictly ascending")
+            frames[frame] = []
+    except ValueError as err:
+        raise ValueError(f"{path}:1: {err}") from None
     empty = set(frames)
-    embeddings = _read_embeddings(path, len(lines) - 1, dim)
+    embedding_rows = iter(_read_embeddings(path, len(lines) - 1, dim))
     last_frame = 1
-    for lineno, fields in _rows(path, lines[1:], _RESULT_FIELDS, first_lineno=2):
-        frame = _frame(fields[0], path, lineno)
+
+    def parse(fields):
+        nonlocal last_frame
+        frame = _frame(fields[0])
         if frame < last_frame:
-            raise ValueError(f"{path}:{lineno}: frames must be non-decreasing")
+            raise ValueError("frames must be non-decreasing")
         if frame in empty:
-            raise ValueError(f"{path}:{lineno}: frame {frame} is listed as empty in the header")
+            raise ValueError(f"frame {frame} is listed as empty in the header")
         last_frame = frame
-        _parse_int(fields[1], path, lineno, "track id")
-        x, y, w, h, conf = _floats(fields[2:], _RESULT_FIELDS[2:], path, lineno)
-        try:
-            detection = Detection(BBox(x, y, w, h), conf, embeddings[lineno - 2])
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
+        _parse_int(fields[1], "track id")
+        x, y, w, h, conf = _floats(fields[2:], _RESULT_FIELDS[2:])
+        return frame, Detection(BBox(x, y, w, h), conf, next(embedding_rows))
+
+    for frame, detection in _rows(path, lines[1:], _RESULT_FIELDS, parse, first_lineno=2):
         frames.setdefault(frame, []).append(detection)
     return dict(sorted(frames.items()))
 
@@ -297,19 +292,22 @@ def write_results(rows: Iterable[TrackedBox], path) -> None:
 
 def read_truth_map(path) -> dict[tuple[int, int], int]:
     """Read a (frame, det_index) -> leaf_id map; frames start at 1, as in every other format."""
-    out: dict[tuple[int, int], int] = {}
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _TRUTH_MAP_FIELDS):
-        frame = _frame(fields[0], path, lineno)
-        det_index = _parse_int(fields[1], path, lineno, "detection index")
+    seen = set()
+
+    def parse(fields):
+        frame = _frame(fields[0])
+        det_index = _parse_int(fields[1], "detection index")
         if det_index < 0:
-            raise ValueError(f"{path}:{lineno}: detection indices start at 0, got {det_index}")
-        leaf_id = _parse_int(fields[2], path, lineno, "leaf id")
+            raise ValueError(f"detection indices start at 0, got {det_index}")
+        leaf_id = _parse_int(fields[2], "leaf id")
         if leaf_id < 1:
-            raise ValueError(f"{path}:{lineno}: leaf ids start at 1, got {leaf_id}")
-        if (frame, det_index) in out:
-            raise ValueError(f"{path}:{lineno}: duplicate (frame, det_index)")
-        out[(frame, det_index)] = leaf_id
-    return out
+            raise ValueError(f"leaf ids start at 1, got {leaf_id}")
+        if (frame, det_index) in seen:
+            raise ValueError("duplicate (frame, det_index)")
+        seen.add((frame, det_index))
+        return (frame, det_index), leaf_id
+
+    return dict(_rows(path, Path(path).read_text().splitlines(), _TRUTH_MAP_FIELDS, parse))
 
 
 def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
@@ -325,22 +323,17 @@ def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
 # ---------------------------------------------------------------------------
 
 def read_triplets(path) -> list[TripletSpec]:
-    rows = []
-    for lineno, fields in _rows(path, Path(path).read_text().splitlines(), _TRIPLET_FIELDS):
+    def parse(fields):
         plant, leaf, t_a, t_p, neg_plant, neg_leaf, t_n = (
-            _parse_int(token, path, lineno, "triplet field") for token in fields
+            _parse_int(token, "triplet field") for token in fields
         )
-        try:
-            rows.append(
-                TripletSpec(
-                    anchor=CropRef(plant, leaf, t_a),
-                    positive=CropRef(plant, leaf, t_p),
-                    negative=CropRef(neg_plant, neg_leaf, t_n),
-                )
-            )
-        except ValueError as err:
-            raise ValueError(f"{path}:{lineno}: {err}") from None
-    return rows
+        return TripletSpec(
+            anchor=CropRef(plant, leaf, t_a),
+            positive=CropRef(plant, leaf, t_p),
+            negative=CropRef(neg_plant, neg_leaf, t_n),
+        )
+
+    return _rows(path, Path(path).read_text().splitlines(), _TRIPLET_FIELDS, parse)
 
 
 def write_triplets(triplets: Iterable[TripletSpec], path) -> None:
@@ -436,14 +429,6 @@ def read_scenario_config(path) -> ScenarioConfig:
 def write_leaf_matrix_csv(matrix: LeafAccuracyMatrix, path) -> None:
     """One row per leaf, one column per frame; 1 correct, 0 failure, empty absent."""
     lines = ["leaf_id," + ",".join(str(frame) for frame in matrix.frames)]
-    for i, leaf_id in enumerate(matrix.leaf_ids):
-        cells = []
-        for value in matrix.cells[i]:
-            if value == CELL_ABSENT:
-                cells.append("")
-            elif value == CELL_CORRECT:
-                cells.append("1")
-            else:
-                cells.append("0")
-        lines.append(f"{leaf_id}," + ",".join(cells))
+    for leaf_id, row in zip(matrix.leaf_ids, matrix.cells.tolist()):
+        lines.append(f"{leaf_id}," + ",".join(_CELL_TEXT[value] for value in row))
     _write_lines(path, lines)

@@ -31,14 +31,12 @@ class BBox:
 
 
 def _corners(boxes: Sequence[BBox]) -> np.ndarray:
-    """(n, 4) array of (u, v, u + w, v + h), the sums taken in Python floats."""
-    return np.array([(b.u, b.v, b.u + b.w, b.v + b.h) for b in boxes])
+    """(n, 4) array of (u, v, u + w, v + h) for any n, the sums taken in Python floats."""
+    return np.array([(b.u, b.v, b.u + b.w, b.v + b.h) for b in boxes]).reshape(len(boxes), 4)
 
 
 def iou_matrix(boxes_a: Sequence[BBox], boxes_b: Sequence[BBox]) -> np.ndarray:
     """Pairwise IoU between two box lists as a (len(a), len(b)) array."""
-    if not boxes_a or not boxes_b:
-        return np.zeros((len(boxes_a), len(boxes_b)))
     au1, av1, au2, av2 = _corners(boxes_a).T[:, :, None]
     bu1, bv1, bu2, bv2 = _corners(boxes_b).T[:, None, :]
     iw = np.clip(np.minimum(au2, bu2) - np.maximum(au1, bu1), 0.0, None)

@@ -107,6 +107,9 @@ class ScenarioConfig:
             )
         if self.embedding_drift_rate < 0.0:
             raise ValueError("embedding_drift_rate must be non-negative")
+        # Total drift is embedding_drift_rate * n_frames; the bound keeps embeddings finite.
+        if max(self.embedding_noise_std, self.embedding_drift_rate * self.n_frames) > 1e306:
+            raise ValueError("embedding_noise_std and total drift must not exceed 1e306")
         if not 0.0 <= self.conf_lo <= self.conf_hi <= 1.0:
             raise ValueError("need 0 <= conf_lo <= conf_hi <= 1")
         if self.embedding_dim < 2:
@@ -120,6 +123,8 @@ class ScenarioConfig:
         for frame, angle in self.rotation_events:
             if frame < 1 or not math.isfinite(angle):
                 raise ValueError(f"bad rotation event ({frame}, {angle})")
+        if not math.isfinite(sum(abs(angle) for _, angle in self.rotation_events)):
+            raise ValueError("rotation event angles must have a finite sum")
         for leaf_id, start, end in self.occlusion_windows:
             if not 1 <= leaf_id <= self.n_leaves:
                 raise ValueError(f"occlusion window names unknown leaf {leaf_id}")
@@ -246,10 +251,8 @@ def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float)
     next_id = 1
     for frame in sorted(frames):
         dets = frames[frame]
-        det_of_prev: dict[int, int] = {}
-        if previous and dets:
-            overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
-            det_of_prev = dict(match_by_iou(overlap, iou_gate))
+        overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
+        det_of_prev = dict(match_by_iou(overlap, iou_gate))
         assignments = [(previous[ti][0], dj, dets[dj].box) for ti, dj in det_of_prev.items()]
         pruned = sorted(tid for ti, (tid, _) in enumerate(previous) if ti not in det_of_prev)
         matched_dets = set(det_of_prev.values())

@@ -1,9 +1,16 @@
 """End-to-end command behavior through main(argv)."""
 
+import io
+import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from itertools import product
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
 import frond.metrics
 from frond.assignment import hungarian
@@ -18,8 +25,9 @@ from frond.fileio import (
 )
 from frond.geometry import BBox
 from frond.metrics import GtAnnotation, evaluate
-from frond.simulator import generate
+from frond.simulator import ScenarioConfig, generate
 from frond.tracker import TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from test_fileio import _config_text, tracker_params
 
 CLEAN_SCENARIO = (
     "n_frames=10\n"
@@ -686,3 +694,84 @@ class TestParserContract:
         with pytest.raises(SystemExit) as exc:
             main(["track", "--out", "r.txt"])
         assert exc.value.code == 2
+
+
+_UNIT = st.floats(0.0, 1.0)
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def tiny_scenes(draw):
+    """ScenarioConfig fields for scenes small enough to run the CLI on per example.
+
+    Sizes are bounded (n_frames <= 6, n_leaves <= 4, fp_rate <= 3,
+    embedding_dim <= 8); every other field spans what the validator accepts.
+    """
+    n_frames = draw(st.integers(1, 6))
+    n_leaves = draw(st.integers(1, 4))
+    frame_width = draw(st.integers(32, 4096))
+    frame_height = draw(st.integers(32, 4096))
+    conf_lo, conf_hi = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
+    windows = st.tuples(st.integers(1, n_leaves), st.integers(1, n_frames), st.integers(1, n_frames))
+    return dict(
+        n_frames=n_frames,
+        n_leaves=n_leaves,
+        frame_width=frame_width,
+        frame_height=frame_height,
+        occlusion_prob=draw(_UNIT),
+        rotation_events=tuple(draw(st.lists(st.tuples(st.integers(1, 8), _FINITE), max_size=3))),
+        occlusion_windows=tuple(
+            (leaf, min(a, b), max(a, b)) for leaf, a, b in draw(st.lists(windows, max_size=3))
+        ),
+        miss_prob=draw(_UNIT),
+        fp_rate=draw(st.floats(0.0, 3.0)),
+        box_jitter_std=draw(st.floats(0.0, max(frame_width, frame_height))),
+        conf_lo=conf_lo,
+        conf_hi=conf_hi,
+        embedding_dim=draw(st.integers(2, 8)),
+        embedding_noise_std=draw(st.floats(0.0, 1e306)),
+        embedding_drift_rate=draw(st.floats(0.0, 1e306 / n_frames)),
+        latent_similarity=draw(st.floats(0.0, 1.0, exclude_max=True)),
+        birth_window=draw(st.integers(0, n_frames - 1)),
+        death_prob=draw(_UNIT),
+        seed=draw(st.integers(0, 2**64)),
+    )
+
+
+class TestValidatorCliAgreement:
+    """Every config the validators accept simulates, tracks, evaluates and sweeps.
+
+    The one data error is a scene whose ground truth came out empty: eval
+    and sweep refuse it with `error: empty ground truth`.
+    """
+
+    @settings(max_examples=100, deadline=None)
+    @given(tiny_scenes(), tracker_params)
+    def test_accepted_configs_run_through_every_command(self, scene_fields, params):
+        try:
+            scene = ScenarioConfig(**scene_fields)
+        except ValueError:
+            reject()
+        with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            tmp = Path(tmp)
+            (tmp / "scene.cfg").write_text(_config_text(scene))
+            (tmp / "tracker.cfg").write_text(_config_text(params))
+            sim, det, gt = tmp / "sim", str(tmp / "sim" / "det.txt"), str(tmp / "sim" / "gt.txt")
+            results = str(tmp / "results.txt")
+            run = [
+                ["simulate", "--config", str(tmp / "scene.cfg"), "--out-dir", str(sim)],
+                ["track", "--detections", det, "--params", str(tmp / "tracker.cfg"), "--out", results],
+                ["eval", "--gt", gt, "--results", results, "--machine", "--leaf-matrix",
+                 str(tmp / "matrix.csv")],
+                ["sweep", "--detections", det, "--gt", gt, f"--tau-s={params.tau_s!r}",
+                 f"--alpha={params.alpha!r}", f"--ema-mode={params.ema_mode}"],
+            ]
+            for argv in run:
+                err = io.StringIO()
+                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                    code = main(argv)
+                if argv[0] in ("eval", "sweep") and not (sim / "gt.txt").read_text():
+                    assert (code, err.getvalue()) == (1, "error: empty ground truth\n")
+                else:
+                    assert (code, err.getvalue()) == (0, "")

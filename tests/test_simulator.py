@@ -109,6 +109,28 @@ class TestConfigValidation:
             expected = f"fp_rate must not exceed 1666.67 clutter boxes per frame, got {value}"
             assert str(err.value) == expected
 
+    def test_embedding_noise_and_total_drift_are_bounded(self):
+        # Past the bound a raw embedding entry, latent + drift + noise, can overflow.
+        ScenarioConfig(
+            n_frames=4, n_leaves=2, embedding_noise_std=1e306, embedding_drift_rate=2.5e305
+        )
+        for fields in (
+            dict(embedding_noise_std=math.nextafter(1e306, math.inf)),
+            dict(embedding_drift_rate=math.nextafter(2.5e305, math.inf)),
+            dict(embedding_drift_rate=3.6e307),
+        ):
+            with pytest.raises(ValueError) as err:
+                ScenarioConfig(n_frames=4, n_leaves=2, **fields)
+            assert str(err.value) == "embedding_noise_std and total drift must not exceed 1e306"
+
+    def test_rotation_angles_need_a_finite_sum(self):
+        # Each angle is finite, but from frame 2 on generate would rotate by inf.
+        events = ((1, 9e307), (2, 9e307))
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=5, n_leaves=2, rotation_events=events)
+        assert str(err.value) == "rotation event angles must have a finite sum"
+        ScenarioConfig(n_frames=5, n_leaves=2, rotation_events=events[:1])
+
     def test_rejects_negative_seed_with_exact_message(self):
         # numpy's generator refuses it, so it would fail only once generate runs.
         with pytest.raises(ValueError) as err:
