@@ -103,7 +103,7 @@ def _cmd_triplets(args) -> int:
         times = defaultdict(set)
         for row in fileio.read_gt(_require_file(path)):
             times[row.leaf_id].add(row.frame)
-        corpus[plant_id] = {leaf: sorted(ts) for leaf, ts in times.items()}
+        corpus[plant_id] = times
     triplets = sample_triplets(corpus, strategy, args.count, args.seed)
     fileio.write_triplets(triplets, args.out)
     print(f"wrote {len(triplets)} triplets to {args.out}")
@@ -142,12 +142,10 @@ def _cmd_sweep(args) -> int:
         report = metrics.report_from_table(table)
         scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
         lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores]))
-    text = "\n".join(lines) + "\n"
     if args.out is not None:
-        with open(args.out, "w", newline="\n") as handle:
-            handle.write(text)
+        fileio._write_lines(args.out, lines)
     else:
-        print(text, end="")
+        print("\n".join(lines))
     return 0
 
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -151,7 +151,7 @@ def check_count_and_seed(count: int, seed: int) -> None:
 
 
 def sample_triplets(
-    corpus: Mapping[int, Mapping[int, Sequence[int]]],
+    corpus: Mapping[int, Mapping[int, Iterable[int]]],
     strategy: SamplingStrategy,
     count: int,
     seed: int,
@@ -170,7 +170,7 @@ def sample_triplets(
 
     Args:
         corpus: mapping plant_id -> {leaf_id -> time points at which the
-            leaf is annotated}.
+            leaf is annotated, in any order, repeats ignored}.
         strategy: negative admission rule.
         count: number of triplets to draw.
         seed: RNG seed; equal seeds give byte-identical output.

@@ -184,7 +184,6 @@ def match_frames(
         ValueError: on a duplicated (frame, id) on either side, or an
             iou_threshold outside (0, 1].
     """
-    check_iou_threshold(iou_threshold)
     pred_by_frame = _group_by_frame(pred, "track_id", "prediction")
     run = {f: [(r.track_id, j) for j, r in enumerate(rows)] for f, rows in pred_by_frame.items()}
     return next(match_runs(gt, pred_by_frame, [run], iou_threshold))

@@ -230,9 +230,8 @@ def generate(cfg: ScenarioConfig):
                 u = rng.uniform(0.0, cfg.frame_width - size)
                 v = rng.uniform(0.0, cfg.frame_height - size)
                 confidence = float(rng.uniform(cfg.conf_lo, cfg.conf_hi))
-                rows.append(
-                    Detection(BBox(u, v, size, size), confidence, _unit_gaussian(rng, cfg.embedding_dim))
-                )
+                raw = rng.normal(size=cfg.embedding_dim)
+                rows.append(Detection(BBox(u, v, size, size), confidence, raw))
     return gt, det, truth_map
 
 
@@ -254,7 +253,7 @@ def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float)
         overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
         det_of_prev = dict(match_by_iou(overlap, iou_gate))
         assignments = [(previous[ti][0], dj, dets[dj].box) for ti, dj in det_of_prev.items()]
-        pruned = sorted(tid for ti, (tid, _) in enumerate(previous) if ti not in det_of_prev)
+        pruned = [tid for ti, (tid, _) in enumerate(previous) if ti not in det_of_prev]
         matched_dets = set(det_of_prev.values())
         new_ids: list[int] = []
         for dj, detection in enumerate(dets):
@@ -263,7 +262,6 @@ def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float)
             assignments.append((next_id, dj, detection.box))
             new_ids.append(next_id)
             next_id += 1
-        assignments.sort(key=lambda entry: entry[0])
         previous = [(tid, box) for tid, _, box in assignments]
         results.append(FrameResult(frame, assignments, new_ids, pruned))
     return results

@@ -31,7 +31,7 @@ class Detection:
 
     def __post_init__(self):
         conf = float(self.confidence)
-        if not math.isfinite(conf) or not 0.0 <= conf <= 1.0:
+        if not 0.0 <= conf <= 1.0:
             raise ValueError(f"confidence must lie in [0, 1], got {self.confidence!r}")
         self.confidence = conf
         self.embedding = normalize(self.embedding)
@@ -70,7 +70,8 @@ class MemoryBank:
     (frames since its last match); sums, the sum of the absorbed
     embeddings, exists only in mean mode.  The first founding fixes the mode
     and the width of prototypes, 0 until then.  step updates matched rows in
-    place, so copy a row to keep it across a step.
+    place, so copy a row to keep it across a step.  track_ids strictly
+    ascend, as ids are handed out in creation order.
     """
 
     prototypes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
@@ -87,6 +88,9 @@ class FrameResult:
     assignments lists every labeled detection as (track_id,
     detection_index, box), newly created tracks included; detection
     indices refer to positions in the frame's input detection list.
+    Every list ascends by track id: assignments because matched rows
+    come in bank order and new ids exceed every live one, new_track_ids
+    in detection order, and pruned_track_ids in bank order.
     """
 
     frame: int
@@ -157,7 +161,6 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     labels = np.concatenate([bank.track_ids[rows], new_ids]).tolist()
     dets = np.concatenate([cols, founders]).tolist()
     assignments = [(track_id, kept[dj][0], kept[dj][1].box) for track_id, dj in zip(labels, dets)]
-    assignments.sort(key=lambda entry: entry[0])
     pruned = bank.track_ids[~keep].tolist()
 
     bank.next_id += len(founders)
@@ -166,7 +169,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     bank.prototypes = np.vstack([bank.prototypes[keep], embeddings[founders]])
     if mean_mode:
         bank.sums = np.vstack([bank.sums[keep], embeddings[founders]])
-    return FrameResult(frame, assignments, new_ids.tolist(), sorted(pruned))
+    return FrameResult(frame, assignments, new_ids.tolist(), pruned)
 
 
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:

@@ -43,6 +43,15 @@ class TestSimilarityMatrix:
         with pytest.raises(ValueError, match="dimension mismatch"):
             similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
 
+    @pytest.mark.parametrize(
+        "prototypes, embeddings",
+        [(np.zeros(3), np.zeros((2, 3))), (np.zeros((2, 3)), np.zeros((1, 2, 3)))],
+    )
+    def test_non_matrix_rejected(self, prototypes, embeddings):
+        with pytest.raises(ValueError) as err:
+            similarity_matrix(prototypes, embeddings)
+        assert str(err.value) == "similarity_matrix expects 2-d arrays"
+
 
 class TestHungarian:
     def test_two_by_two_example(self):

@@ -678,6 +678,22 @@ class TestSweep:
         assert err.startswith(f"error: sweep grid: {field} ")
         assert "no such file" not in err
 
+    # The inputs do not exist: an empty axis must be refused before either is opened.
+    @pytest.mark.parametrize("flag, value", [("--tau-s", ","), ("--alpha", ""), ("--ema-mode", " , ")])
+    def test_empty_grid_axis_is_usage_error_before_any_read(self, tmp_path, capsys, flag, value):
+        code = main(
+            [
+                "sweep",
+                "--detections",
+                str(tmp_path / "nope-det.txt"),
+                "--gt",
+                str(tmp_path / "nope-gt.txt"),
+                f"{flag}={value}",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: sweep grid must be non-empty on every axis\n"
+
 
 class TestParserContract:
     def test_no_subcommand_exits_two(self):

@@ -34,6 +34,12 @@ class TestNormalize:
         with pytest.raises(ValueError):
             normalize(np.array([1.0, np.nan]))
 
+    @pytest.mark.parametrize("shape", [(0,), (2, 2)])
+    def test_not_a_non_empty_vector_rejected(self, shape):
+        with pytest.raises(ValueError) as err:
+            normalize(np.ones(shape))
+        assert str(err.value) == f"embedding must be a non-empty 1-d vector, got shape {shape}"
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_message(self, bad):
         with pytest.raises(ValueError, match="^non-finite embedding value$"):

@@ -242,6 +242,18 @@ class TestMatchFrames:
         with pytest.raises(ValueError):
             match_frames([g(1, 1)], [p(1, 1)], iou_threshold=1.5)
 
+    def test_duplicate_prediction_is_named_before_a_bad_threshold(self):
+        # The predictions are grouped first; match_runs then checks the threshold.
+        with pytest.raises(ValueError) as err:
+            match_frames([g(1, 1)], [p(1, 1), p(1, 1, u=50.0)], iou_threshold=0.0)
+        assert str(err.value) == "duplicate prediction id 1 in frame 1"
+
+    @pytest.mark.parametrize("leaf_id", [0, -3])
+    def test_gt_leaf_ids_start_at_one(self, leaf_id):
+        with pytest.raises(ValueError) as err:
+            g(1, leaf_id)
+        assert str(err.value) == f"leaf ids start at 1, got {leaf_id}"
+
     def test_counts_agree_with_brute_force(self):
         rng = np.random.default_rng(31)
         for _ in range(30):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from frond.geometry import BBox
 from frond.simulator import (
@@ -130,6 +132,11 @@ class TestConfigValidation:
             ScenarioConfig(n_frames=5, n_leaves=2, rotation_events=events)
         assert str(err.value) == "rotation event angles must have a finite sum"
         ScenarioConfig(n_frames=5, n_leaves=2, rotation_events=events[:1])
+
+    def test_rejects_negative_drift_with_exact_message(self):
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=5, n_leaves=2, embedding_drift_rate=-0.1)
+        assert str(err.value) == "embedding_drift_rate must be non-negative"
 
     def test_rejects_negative_seed_with_exact_message(self):
         # numpy's generator refuses it, so it would fail only once generate runs.
@@ -342,6 +349,31 @@ class TestBaselineTracker:
             baseline_iou_tracker({1: []}, 0.0)
         with pytest.raises(ValueError):
             baseline_iou_tracker({1: []}, 1.5)
+
+    # Small frames crowd the leaves and the clutter, so IoU components interleave rows.
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n_frames=st.integers(1, 8),
+        n_leaves=st.integers(1, 6),
+        side=st.sampled_from([64, 128, 256]),
+        fp_rate=st.sampled_from([0.0, 1.0, 3.0]),
+        jitter=st.sampled_from([0.0, 2.0, 8.0]),
+        miss_prob=st.sampled_from([0.0, 0.3]),
+        iou_gate=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_property_output_ascends_by_track_id(
+        self, n_frames, n_leaves, side, fp_rate, jitter, miss_prob, iou_gate, seed
+    ):
+        cfg = ScenarioConfig(
+            n_frames=n_frames, n_leaves=n_leaves, frame_width=side, frame_height=side,
+            fp_rate=fp_rate, box_jitter_std=jitter, miss_prob=miss_prob, embedding_dim=4, seed=seed,
+        )
+        _, frames, _ = generate(cfg)
+        for result in baseline_iou_tracker(frames, iou_gate):
+            labels = [track_id for track_id, _, _ in result.assignments]
+            for ids in (labels, result.new_track_ids, result.pruned_track_ids):
+                assert all(a < b for a, b in zip(ids, ids[1:]))
 
     def test_partial_overlap_matches_at_loose_gate(self):
         frames = {1: [self.det_at(0.0)], 2: [self.det_at(4.0)]}

@@ -135,6 +135,12 @@ class TestDetection:
         with pytest.raises(ValueError):
             det([1.0, 0.0], conf=-0.1)
 
+    @pytest.mark.parametrize("conf", [math.nan, math.inf, -math.inf])
+    def test_non_finite_confidence_rejected_with_exact_message(self, conf):
+        with pytest.raises(ValueError) as err:
+            det([1.0, 0.0], conf=conf)
+        assert str(err.value) == f"confidence must lie in [0, 1], got {conf!r}"
+
 
 class TestInitBank:
     def test_confidence_filter(self):
@@ -417,7 +423,9 @@ class TestStep:
 
         kept = [j for j, d in enumerate(detections) if d.confidence >= params.conf_min]
         assert sorted(j for _, j, _ in result.assignments) == kept
-        labelled = {track_id for track_id, _, _ in result.assignments}
+        labels = [track_id for track_id, _, _ in result.assignments]
+        assert all(a < b for a, b in zip(labels, labels[1:]))
+        labelled = set(labels)
         # A pruned track leaves the bank, so the age step gave it is read
         # from the survivors only; pruning is then checked against it.
         age_now = {tid: 0 if tid in labelled else age + 1 for tid, age in before.items()}
@@ -449,6 +457,7 @@ class TestStep:
                 else:
                     absorbed[track_id] = absorbed[track_id] + e
             n = len(bank.track_ids)
+            assert np.all(np.diff(bank.track_ids) > 0)
             assert bank.prototypes.shape[0] == len(bank.ages) == n
             assert np.all(np.abs(np.linalg.norm(bank.prototypes, axis=1) - 1.0) <= 1e-12)
             assert (bank.sums is not None) == (params.ema_mode == "mean")
