@@ -15,8 +15,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 
 import argparse
+import re
 import sys
 from collections import defaultdict
+from contextlib import contextmanager
 from itertools import product
 from pathlib import Path
 
@@ -39,11 +41,13 @@ def _require_file(path: str) -> str:
     return path
 
 
-def _check_iou(value: float) -> None:
+@contextmanager
+def _usage(prefix: str = ""):
+    """Re-raise a library ValueError from the block as a usage error."""
     try:
-        metrics.check_iou_threshold(value)
+        yield
     except ValueError as err:
-        raise _UsageError(str(err)) from None
+        raise _UsageError(f"{prefix}{err}") from None
 
 
 def _cmd_simulate(args) -> int:
@@ -75,7 +79,8 @@ def _cmd_track(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    _check_iou(args.iou)
+    with _usage():
+        metrics.check_iou_threshold(args.iou)
     gt = fileio.read_gt(_require_file(args.gt))
     pred = fileio.read_results(_require_file(args.results))
     table = metrics.match_frames(gt, pred, args.iou)
@@ -90,14 +95,10 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_triplets(args) -> int:
-    try:
+    with _usage("triplets strategy: "):
         strategy = SamplingStrategy(args.strategy, args.delta_t)
-    except ValueError as err:
-        raise _UsageError(f"triplets strategy: {err}") from None
-    try:
+    with _usage():
         check_count_and_seed(args.count, args.seed)
-    except ValueError as err:
-        raise _UsageError(str(err)) from None
     corpus = {}
     for plant_id, path in enumerate(args.gt_corpus):
         times = defaultdict(set)
@@ -110,33 +111,29 @@ def _cmd_triplets(args) -> int:
     return 0
 
 
-def _parse_float_list(raw: str, flag: str) -> list[float]:
+def _grid_axis(raw: str, flag: str, kind=float) -> list:
     try:
-        return [float(part) for part in raw.split(",") if part.strip() != ""]
+        values = [kind(part.strip()) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
         raise _UsageError(f"{flag} expects a comma-separated float list, got {raw!r}") from None
+    if not values:
+        raise _UsageError("sweep grid must be non-empty on every axis")
+    return values
 
 
 def _cmd_sweep(args) -> int:
-    tau_s_values = _parse_float_list(args.tau_s, "--tau-s")
-    alpha_values = _parse_float_list(args.alpha, "--alpha")
-    modes = [part.strip() for part in args.ema_mode.split(",") if part.strip() != ""]
-    if not tau_s_values or not alpha_values or not modes:
-        raise _UsageError("sweep grid must be non-empty on every axis")
-    try:
-        grid = [
-            TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
-            for tau_s, alpha, mode in product(tau_s_values, alpha_values, modes)
-        ]
-    except ValueError as err:
-        raise _UsageError(f"sweep grid: {err}") from None
-    _check_iou(args.iou)
+    axes = (
+        _grid_axis(args.tau_s, "--tau-s"),
+        _grid_axis(args.alpha, "--alpha"),
+        _grid_axis(args.ema_mode, "--ema-mode", str),
+    )
+    with _usage("sweep grid: "):
+        grid = [TrackerParams(tau_s=t, alpha=a, ema_mode=m) for t, a, m in product(*axes)]
+    with _usage():
+        metrics.check_iou_threshold(args.iou)
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
-    runs = (  # each run as frame -> [(track_id, detection index)]
-        {res.frame: [a[:2] for a in res.assignments] for res in run_sequence(frames, params)}
-        for params in grid
-    )
+    runs = ({res.frame: res.assignments for res in run_sequence(frames, params)} for params in grid)
     lines = [",".join(_SWEEP_COLUMNS)]
     for params, table in zip(grid, metrics.match_runs(gt, frames, runs, args.iou)):
         report = metrics.report_from_table(table)
@@ -186,9 +183,10 @@ def build_parser() -> argparse.ArgumentParser:
     sweep = commands.add_parser("sweep", help="grid-run the tracker and tabulate metrics")
     sweep.add_argument("--detections", required=True)
     sweep.add_argument("--gt", required=True)
+    # Read -1,0.4 as a value, not a flag: no sweep option starts with -<digit>.
+    sweep._negative_number_matcher = re.compile(r"^-\.?\d")
     defaults = TrackerParams()
-    tau_s_help = "comma-separated; a negative first value needs the = form, --tau-s=-1,0.4"
-    sweep.add_argument("--tau-s", default=str(defaults.tau_s), help=tau_s_help)
+    sweep.add_argument("--tau-s", default=str(defaults.tau_s), help="comma-separated similarity gates")
     sweep.add_argument("--alpha", default=str(defaults.alpha), help="comma-separated EMA weights")
     sweep.add_argument("--ema-mode", default=defaults.ema_mode, help="comma-separated: ema, mean")
     sweep.add_argument("--iou", type=float, default=IOU_THRESHOLD)

@@ -49,9 +49,9 @@ class MatchTable:
     """Per-frame localization outcomes.
 
     matches maps frame -> [(gt_id, pred_id, iou)] for true positives;
-    misses and false_alarms list the frame's unmatched gt and pred ids.
-    The identity pair counts and the IDF1 bijection are worked out on
-    first use and kept, so a table must not change once it is scored.
+    misses and false_alarms list the frame's unmatched gt and pred ids
+    in input order.  The pair counts and the IDF1 bijection are worked
+    out on first use and kept, so a table must not change once scored.
     """
 
     frames: list
@@ -192,17 +192,18 @@ def match_frames(
 def match_runs(
     gt: Iterable[GtAnnotation],
     frames: Mapping[int, Sequence],
-    runs: Iterable[Mapping[int, Sequence[tuple[int, int]]]],
+    runs: Iterable[Mapping[int, Sequence[tuple]]],
     iou_threshold: float = IOU_THRESHOLD,
 ) -> Iterator[MatchTable]:
     """One MatchTable per tracker run over frames.
 
     frames maps frame -> detections, the input of every run; each run
-    maps frame -> [(track_id, detection index)], the predictions it made
-    there (a frame left out or mapped to [] has none).  Ground truth is
-    grouped, and its IoU against each frame's detections worked out,
-    once; each run takes its columns by its detection indices.  This is
-    the one place a MatchTable is built.
+    maps frame -> rows led by (track_id, detection index), such as
+    FrameResult.assignments: the predictions it made there (a frame left
+    out or mapped to [] has none).  Ground truth is grouped, and its IoU
+    against each frame's detections worked out, once; each run takes its
+    columns by its detection indices.  This is the one place a
+    MatchTable is built.
 
     Raises:
         ValueError: as match_frames does.
@@ -220,13 +221,13 @@ def match_runs(
         for frame in table.frames:
             gt_ids, all_columns = overlaps[frame]
             rows = run.get(frame, [])
-            overlap = all_columns[:, [j for _, j in rows]]
+            overlap = all_columns[:, [row[1] for row in rows]]
             pairs = match_by_iou(overlap, iou_threshold)
             matched_g = {gi for gi, _ in pairs}
             matched_p = {pj for _, pj in pairs}
             table.matches[frame] = [(gt_ids[gi], rows[pj][0], float(overlap[gi, pj])) for gi, pj in pairs]
-            table.misses[frame] = sorted(g for i, g in enumerate(gt_ids) if i not in matched_g)
-            table.false_alarms[frame] = sorted(t for j, (t, _) in enumerate(rows) if j not in matched_p)
+            table.misses[frame] = [g for i, g in enumerate(gt_ids) if i not in matched_g]
+            table.false_alarms[frame] = [row[0] for j, row in enumerate(rows) if j not in matched_p]
         yield table
 
 

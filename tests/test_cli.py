@@ -16,15 +16,17 @@ import frond.metrics
 from frond.assignment import hungarian
 from frond.cli import main
 from frond.fileio import (
+    read_detections,
     read_gt,
     read_results,
     read_scenario_config,
     read_triplets,
+    read_truth_map,
     write_gt,
     write_results,
 )
 from frond.geometry import BBox
-from frond.metrics import GtAnnotation, evaluate
+from frond.metrics import GtAnnotation, evaluate, format_report_machine
 from frond.simulator import ScenarioConfig, generate
 from frond.tracker import TrackedBox, TrackerParams, run_sequence, tracked_boxes
 from test_fileio import _config_text, tracker_params
@@ -544,7 +546,6 @@ class TestSweep:
                 str(out_dir / "det.txt"),
                 "--gt",
                 str(out_dir / "gt.txt"),
-                # The = form, since the first value starts with a minus sign.
                 "--tau-s=" + ",".join(map(repr, grid["tau_s"])),
                 "--alpha=" + ",".join(map(repr, grid["alpha"])),
                 "--ema-mode=" + ",".join(grid["ema_mode"]),
@@ -694,6 +695,38 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err == "error: sweep grid must be non-empty on every axis\n"
 
+    def test_axes_are_judged_in_flag_order(self, tmp_path, capsys):
+        # --tau-s is empty and --alpha is not a float: the first axis is reported.
+        code = main(
+            [
+                "sweep",
+                "--detections",
+                str(tmp_path / "nope-det.txt"),
+                "--gt",
+                str(tmp_path / "nope-gt.txt"),
+                "--tau-s=,",
+                "--alpha=x",
+            ]
+        )
+        assert code == 2
+        assert capsys.readouterr().err == "error: sweep grid must be non-empty on every axis\n"
+
+    def test_negative_first_value_reads_with_or_without_equals(self, pipeline, tmp_path):
+        out_dir, _ = pipeline
+        inputs = ["sweep", "--detections", str(out_dir / "det.txt"), "--gt", str(out_dir / "gt.txt")]
+        outputs = []
+        for name, tau_s in (("spaced.csv", ["--tau-s", "-1,0.4"]), ("equals.csv", ["--tau-s=-1,0.4"])):
+            assert main([*inputs, *tau_s, "--out", str(tmp_path / name)]) == 0
+            outputs.append((tmp_path / name).read_text())
+        assert outputs[0] == outputs[1]
+        assert [row.split(",")[0] for row in outputs[0].splitlines()[1:]] == ["-1.0", "0.4"]
+
+    def test_value_that_looks_like_a_flag_is_still_refused(self, tmp_path):
+        inputs = ["--detections", str(tmp_path / "det.txt"), "--gt", str(tmp_path / "gt.txt")]
+        with pytest.raises(SystemExit) as exc:
+            main(["sweep", *inputs, "--alpha", "-x"])
+        assert exc.value.code == 2
+
 
 class TestParserContract:
     def test_no_subcommand_exits_two(self):
@@ -758,7 +791,8 @@ class TestValidatorCliAgreement:
     """Every config the validators accept simulates, tracks, evaluates and sweeps.
 
     The one data error is a scene whose ground truth came out empty: eval
-    and sweep refuse it with `error: empty ground truth`.
+    and sweep refuse it with `error: empty ground truth`.  What each
+    command writes or prints equals the library path on the same scene.
     """
 
     @settings(max_examples=100, deadline=None)
@@ -783,11 +817,33 @@ class TestValidatorCliAgreement:
                 ["sweep", "--detections", det, "--gt", gt, f"--tau-s={params.tau_s!r}",
                  f"--alpha={params.alpha!r}", f"--ema-mode={params.ema_mode}"],
             ]
+            stdout = {}
             for argv in run:
-                err = io.StringIO()
-                with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                out, err = io.StringIO(), io.StringIO()
+                with redirect_stdout(out), redirect_stderr(err):
                     code = main(argv)
+                stdout[argv[0]] = out.getvalue()
                 if argv[0] in ("eval", "sweep") and not (sim / "gt.txt").read_text():
                     assert (code, err.getvalue()) == (1, "error: empty ground truth\n")
                 else:
                     assert (code, err.getvalue()) == (0, "")
+
+            gt_rows, frames, truth_map = generate(scene)
+            assert read_gt(gt) == gt_rows
+            assert read_truth_map(sim / "truth_map.txt") == truth_map
+            read = read_detections(det)
+            assert list(read) == list(frames)
+            for frame, rows in frames.items():
+                assert [(d.box, d.confidence, d.embedding.tobytes()) for d in read[frame]] == [
+                    (d.box, d.confidence, d.embedding.tobytes()) for d in rows
+                ]
+            tracked = tracked_boxes(run_sequence(frames, params))
+            assert read_results(results) == tracked
+            if gt_rows:
+                report = evaluate(gt_rows, tracked)
+                assert stdout["eval"] == format_report_machine(report) + "\n"
+                cell = TrackerParams(tau_s=params.tau_s, alpha=params.alpha, ema_mode=params.ema_mode)
+                report = evaluate(gt_rows, tracked_boxes(run_sequence(frames, cell)))
+                scores = [repr(getattr(report, name)) for name in ("hota", "deta", "assa", "mota", "idf1")]
+                row = ",".join([repr(cell.tau_s), repr(cell.alpha), cell.ema_mode, *scores])
+                assert stdout["sweep"].splitlines()[1:] == [row]
