@@ -19,6 +19,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import re
+from itertools import chain, repeat
 from pathlib import Path
 from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 
@@ -149,8 +150,16 @@ def _sidecar(path) -> Path:
     return Path(path).with_suffix(".npy")
 
 
+def _shape_error(path, rows: int, dim: int, shape: tuple) -> ValueError:
+    return ValueError(f"{_sidecar(path)}: expected embeddings of shape {(rows, dim)} for {path}, got {shape}")
+
+
 def _read_embeddings(path, rows: int, dim: int) -> np.ndarray:
-    """The sidecar of the detection file at path, checked to be a (rows, dim) float64 array."""
+    """The sidecar of the detection file at path, checked to be an (n, dim) float64 array, n <= rows.
+
+    A sidecar with fewer than rows rows is left to the caller, which
+    reports it once every line of the detection file has been checked.
+    """
     sidecar = _sidecar(path)
     try:
         with open(sidecar, "rb") as handle:
@@ -163,11 +172,8 @@ def _read_embeddings(path, rows: int, dim: int) -> np.ndarray:
         raise ValueError(f"{sidecar}: expected one .npy array, got {type(embeddings).__name__}")
     if embeddings.dtype != np.float64:
         raise ValueError(f"{sidecar}: embeddings must be a float64 array, got {embeddings.dtype}")
-    if embeddings.shape != (rows, dim):
-        raise ValueError(
-            f"{sidecar}: expected embeddings of shape {(rows, dim)} for {path}, "
-            f"got {embeddings.shape}"
-        )
+    if embeddings.ndim != 2 or embeddings.shape[1] != dim or len(embeddings) > rows:
+        raise _shape_error(path, rows, dim, embeddings.shape)
     return embeddings
 
 
@@ -183,6 +189,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
         ValueError: naming the offending line on any malformed field,
             a missing header, or decreasing frame indices, and naming the
             sidecar when it is missing or not a (rows, D) float64 array.
+            A sidecar with too few rows is reported after every line.
     """
     lines = Path(path).read_text().splitlines()
     frames: dict[int, list[Detection]] = {}
@@ -203,7 +210,9 @@ def read_detections(path) -> dict[int, list[Detection]]:
     except ValueError as err:
         raise ValueError(f"{path}:1: {err}") from None
     empty = set(frames)
-    embedding_rows = iter(_read_embeddings(path, len(lines) - 1, dim))
+    embeddings = _read_embeddings(path, len(lines) - 1, dim)
+    # Lines past a short sidecar are checked against unit stand-in rows.
+    embedding_rows = chain(embeddings, repeat(np.ones(dim)))
     last_frame = 1
 
     def parse(fields):
@@ -218,7 +227,10 @@ def read_detections(path) -> dict[int, list[Detection]]:
         x, y, w, h, conf = _floats(fields[2:], _RESULT_FIELDS[2:])
         return frame, Detection(BBox(x, y, w, h), conf, next(embedding_rows))
 
-    for frame, detection in _rows(path, lines[1:], _RESULT_FIELDS, parse, first_lineno=2):
+    rows = _rows(path, lines[1:], _RESULT_FIELDS, parse, first_lineno=2)
+    if len(embeddings) < len(rows):
+        raise _shape_error(path, len(rows), dim, embeddings.shape)
+    for frame, detection in rows:
         frames.setdefault(frame, []).append(detection)
     return dict(sorted(frames.items()))
 

@@ -4,18 +4,16 @@ All metrics run at a single localization threshold: a prediction counts
 as a true positive only where a per-frame minimum-cost matching pairs it
 with a ground-truth box at IoU >= iou_threshold.  match_runs builds that
 table for many tracker runs from one per-frame IoU matrix (match_frames is
-its one-run case); report_from_table is the one reduction of it to DetA,
-AssA, HOTA, MOTA, IDF1 and ID switches.  A table counts its (gt, pred)
-identity pairs and solves its IDF1 bijection once, for AssA, IDF1 and the
-leaf matrix.
+its one-run case), each with its counts, (gt, pred) pair counts and IDF1
+bijection; report_from_table reduces it to DetA, AssA, HOTA, MOTA, IDF1
+and ID switches.
 """
 
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
-from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -44,65 +42,46 @@ class GtAnnotation:
             raise ValueError(f"leaf ids start at 1, got {self.leaf_id}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class MatchTable:
-    """Per-frame localization outcomes.
+    """Per-frame localization outcomes of one tracker run, built whole by match_runs.
 
     matches maps frame -> [(gt_id, pred_id, iou)] for true positives;
     misses and false_alarms list the frame's unmatched gt and pred ids
-    in input order.  The pair counts and the IDF1 bijection are worked
-    out on first use and kept, so a table must not change once scored.
+    in input order; tp, fn and fp count them.  pair_counts maps each
+    (gt_id, pred_id) to its true positives; bijection maps gt_id ->
+    pred_id under the optimal IDF1 bijection, whose pairs hold idtp.
     """
 
     frames: list
     matches: dict
     misses: dict
     false_alarms: dict
+    tp: int
+    fn: int
+    fp: int
+    pair_counts: dict
+    idtp: int
+    bijection: dict
 
-    @property
-    def tp(self) -> int:
-        return sum(len(rows) for rows in self.matches.values())
 
-    @property
-    def fn(self) -> int:
-        return sum(len(ids) for ids in self.misses.values())
-
-    @property
-    def fp(self) -> int:
-        return sum(len(ids) for ids in self.false_alarms.values())
-
-    @cached_property
-    def _pair_counts(self) -> dict:
-        """Number of true positives per (gt_id, pred_id) pair."""
-        counts: dict = defaultdict(int)
-        for frame in self.frames:
-            for gt_id, pred_id, _ in self.matches[frame]:
-                counts[(gt_id, pred_id)] += 1
-        return counts
-
-    @cached_property
-    def _idf1(self) -> tuple[int, dict]:
-        """(idtp, bijection) under the optimal identity bijection.
-
-        The bijection maximizes the summed per-pair TP counts (minimum-cost
-        assignment on negated counts).
-        """
-        counts = self._pair_counts
-        bijection: dict = {}
-        idtp = 0
-        if counts:
-            gt_ids = sorted({g for g, _ in counts})
-            pred_ids = sorted({p for _, p in counts})
-            gt_index = {g: i for i, g in enumerate(gt_ids)}
-            pred_index = {p: j for j, p in enumerate(pred_ids)}
-            matrix = np.zeros((len(gt_ids), len(pred_ids)))
-            for (g, p), c in counts.items():
-                matrix[gt_index[g], pred_index[p]] = c
-            for gi, pj in hungarian(-matrix).pairs:
-                if matrix[gi, pj] > 0:
-                    bijection[gt_ids[gi]] = pred_ids[pj]
-                    idtp += int(matrix[gi, pj])
-        return idtp, bijection
+def _identity_bijection(counts: Mapping[tuple, int]) -> tuple[int, dict]:
+    """(idtp, bijection): the gt -> pred bijection that maximizes the summed pair counts."""
+    bijection: dict = {}
+    idtp = 0
+    if counts:
+        gt_ids = sorted({g for g, _ in counts})
+        pred_ids = sorted({p for _, p in counts})
+        gt_index = {g: i for i, g in enumerate(gt_ids)}
+        pred_index = {p: j for j, p in enumerate(pred_ids)}
+        matrix = np.zeros((len(gt_ids), len(pred_ids)))
+        for (g, p), c in counts.items():
+            matrix[gt_index[g], pred_index[p]] = c
+        for gi, pj in hungarian(-matrix).pairs:
+            if matrix[gi, pj] > 0:
+                bijection[gt_ids[gi]] = pred_ids[pj]
+                idtp += int(matrix[gi, pj])
+    return idtp, bijection
 
 
 def match_by_iou(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]:
@@ -217,18 +196,24 @@ def match_runs(
         overlaps[frame] = ([r.leaf_id for r in g_rows], iou_matrix([r.box for r in g_rows], boxes))
     for run in runs:
         predicted = {f for f, rows in run.items() if rows}
-        table = MatchTable(sorted(set(gt_by_frame) | predicted), {}, {}, {})
-        for frame in table.frames:
+        table_frames = sorted(set(gt_by_frame) | predicted)
+        matches, misses, false_alarms = {}, {}, {}
+        for frame in table_frames:
             gt_ids, all_columns = overlaps[frame]
             rows = run.get(frame, [])
             overlap = all_columns[:, [row[1] for row in rows]]
             pairs = match_by_iou(overlap, iou_threshold)
             matched_g = {gi for gi, _ in pairs}
             matched_p = {pj for _, pj in pairs}
-            table.matches[frame] = [(gt_ids[gi], rows[pj][0], float(overlap[gi, pj])) for gi, pj in pairs]
-            table.misses[frame] = [g for i, g in enumerate(gt_ids) if i not in matched_g]
-            table.false_alarms[frame] = [row[0] for j, row in enumerate(rows) if j not in matched_p]
-        yield table
+            matches[frame] = [(gt_ids[gi], rows[pj][0], float(overlap[gi, pj])) for gi, pj in pairs]
+            misses[frame] = [g for i, g in enumerate(gt_ids) if i not in matched_g]
+            false_alarms[frame] = [row[0] for j, row in enumerate(rows) if j not in matched_p]
+        pair_counts = Counter((g, p) for frame in table_frames for g, p, _ in matches[frame])
+        tp = sum(len(rows) for rows in matches.values())
+        fn = sum(len(ids) for ids in misses.values())
+        fp = sum(len(ids) for ids in false_alarms.values())
+        idtp, bijection = _identity_bijection(pair_counts)
+        yield MatchTable(table_frames, matches, misses, false_alarms, tp, fn, fp, pair_counts, idtp, bijection)
 
 
 def _association_accuracy(table: MatchTable) -> float:
@@ -248,7 +233,7 @@ def _association_accuracy(table: MatchTable) -> float:
         for pred_id in table.false_alarms[frame]:
             established.setdefault(pred_id, frame)
     ranked = sorted(
-        table._pair_counts.items(),
+        table.pair_counts.items(),
         key=lambda item: (-item[1], established[item[0][1]], item[0][0], item[0][1]),
     )
     bijection: dict = {}
@@ -294,12 +279,11 @@ def report_from_table(table: MatchTable) -> MetricReport:
     Raises:
         ValueError: on empty ground truth, checked before any division.
     """
-    tp, fp, fn = table.tp, table.fp, table.fn
+    tp, fp, fn, idtp = table.tp, table.fp, table.fn, table.idtp
     total_gt = tp + fn
     if total_gt == 0:
         raise ValueError("empty ground truth")
     assa = _association_accuracy(table)
-    idtp, _ = table._idf1
     idsw = 0
     last_pred: dict = {}
     for frame in table.frames:
@@ -355,7 +339,6 @@ def leaf_accuracy_matrix(table: MatchTable) -> LeafAccuracyMatrix:
     identity (the idf1 bijection) and overlaps at IoU >= CELL_IOU_MIN;
     any other annotated cell is a failure; unannotated cells are absent.
     """
-    _, bijection = table._idf1
     frames = list(table.frames)
     leaf_ids = sorted(
         {gt_id for frame in frames for gt_id, _, _ in table.matches[frame]}
@@ -367,7 +350,7 @@ def leaf_accuracy_matrix(table: MatchTable) -> LeafAccuracyMatrix:
         for gt_id in table.misses[frame]:
             cells[row_of[gt_id], j] = CELL_FAILURE
         for gt_id, pred_id, overlap in table.matches[frame]:
-            correct = bijection.get(gt_id) == pred_id and overlap >= CELL_IOU_MIN
+            correct = table.bijection.get(gt_id) == pred_id and overlap >= CELL_IOU_MIN
             cells[row_of[gt_id], j] = CELL_CORRECT if correct else CELL_FAILURE
     return LeafAccuracyMatrix(leaf_ids=leaf_ids, frames=frames, cells=cells)
 

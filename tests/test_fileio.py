@@ -234,6 +234,7 @@ class TestDetectionsFile:
             (np.zeros(2), "expected embeddings of shape (1, 2) for {path}, got (2,)"),
             (np.ones((1, 2), dtype=np.float32), "embeddings must be a float64 array, got float32"),
             (np.ones((1, 2), dtype=np.int64), "embeddings must be a float64 array, got int64"),
+            (np.zeros((0, 2)), "expected embeddings of shape (1, 2) for {path}, got (0, 2)"),
         ],
     )
     def test_sidecar_shape_and_dtype_message_is_exact(self, tmp_path, embeddings, message):
@@ -241,6 +242,26 @@ class TestDetectionsFile:
         np.save(tmp_path / "det.npy", embeddings)
         got = error_message(read_detections, path, ONE_ROW)
         assert got == f"{tmp_path / 'det.npy'}: " + message.format(path=path)
+
+    @pytest.mark.parametrize("appended", ["", "oops"])
+    def test_bad_line_appended_to_a_written_file_is_named(self, tmp_path, appended):
+        # The sidecar holds one row fewer than the text has lines, but the
+        # bad line is reported, not the row count.
+        path = tmp_path / "det.txt"
+        write_detections(sample_frames(np.random.default_rng(5), dim=4), path)
+        with open(path, "a") as handle:
+            handle.write(appended + "\n")
+        with pytest.raises(ValueError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:8: expected 7 fields, got 1"
+
+    def test_short_sidecar_reports_a_bad_row_first(self, tmp_path):
+        path = tmp_path / "det.txt"
+        path.write_text("#dim=2\n1,-1,0.0,0.0,5.0,5.0,0.9\n1,-1,9.0,0.0,5.0,5.0,0.9\n")
+        np.save(tmp_path / "det.npy", np.zeros((1, 2)))
+        with pytest.raises(ValueError) as err:
+            read_detections(path)
+        assert str(err.value) == f"{path}:2: cannot normalize a zero vector"
 
     def test_object_sidecar_refused_without_unpickling(self, tmp_path):
         path = tmp_path / "det.txt"

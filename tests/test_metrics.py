@@ -1,5 +1,6 @@
 """Detection matching and the HOTA / MOTA / IDF1 metric family."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -467,7 +468,14 @@ class TestIdf1:
         rng = np.random.default_rng(61)
         for _ in range(30):
             gt, pred = random_scene(rng)
-            assert report_from_table(match_frames(gt, pred)).idf1 == brute_idf1(gt, pred)
+            table = match_frames(gt, pred)
+            assert report_from_table(table).idf1 == brute_idf1(gt, pred)
+            tp_pairs, _, _ = match_counts(gt, pred)
+            assert table.pair_counts == Counter(pair for pairs in tp_pairs.values() for pair in pairs)
+            assert len(set(table.bijection.values())) == len(table.bijection)
+            assert sum(table.pair_counts[pair] for pair in table.bijection.items()) == table.idtp
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            table.idtp = 0
 
 
 class TestEvaluate:
