@@ -55,14 +55,16 @@ def hungarian(cost: np.ndarray) -> Assignment:
         Assignment with pairs sorted by row index.
 
     Raises:
-        ValueError: on an empty matrix or any NaN / non-finite entry.
+        ValueError: on a matrix that is not 2-d or any NaN / non-finite entry.
     """
     c = np.asarray(cost, dtype=np.float64)
-    if c.ndim != 2 or c.shape[0] == 0 or c.shape[1] == 0:
-        raise ValueError("cost matrix must be 2-d and non-empty")
+    if c.ndim != 2:
+        raise ValueError("cost matrix must be 2-d")
     if not np.isfinite(c).all():
         kind = "NaN" if np.isnan(c).any() else "non-finite"
         raise ValueError(f"invalid cost: {kind} entry")
+    if not c.size:
+        return Assignment()
     if c.shape[0] <= c.shape[1]:
         return Assignment(list(enumerate(_solve(c))))
     return Assignment(sorted((i, j) for j, i in enumerate(_solve(c.T))))

@@ -180,12 +180,11 @@ def sample_triplets(
             when no anchor exists or no valid negative in 1000 attempts.
     """
     check_count_and_seed(count, seed)
-    times_by_leaf: dict[tuple[int, int], list[int]] = {}
-    for plant_id in sorted(corpus):
-        for leaf_id in sorted(corpus[plant_id]):
-            times = sorted(set(int(t) for t in corpus[plant_id][leaf_id]))
-            if times:
-                times_by_leaf[(plant_id, leaf_id)] = times
+    times_by_leaf = {
+        (plant_id, leaf_id): sorted(set(int(t) for t in corpus[plant_id][leaf_id]))
+        for plant_id in sorted(corpus)
+        for leaf_id in sorted(corpus[plant_id])
+    }
 
     crops = [(p, l, t) for (p, l), ts in times_by_leaf.items() for t in ts]
     anchors = [(p, l, t) for (p, l), ts in times_by_leaf.items() if len(ts) >= 2 for t in ts]

@@ -8,12 +8,20 @@ from typing import Sequence
 
 import numpy as np
 
+# Corners within this magnitude keep every IoU term finite: a difference of
+# two corners is at most 2e150, and a product of two such differences at
+# most 4e300, below the float64 maximum of 1.8e308.
+CORNER_BOUND = 1e150
+
 
 @dataclass(frozen=True)
 class BBox:
     """Axis-aligned box with top-left corner (u, v) and positive extent (w, h).
 
-    Coordinates are continuous; no rounding is applied anywhere.
+    Coordinates are continuous; no rounding is applied anywhere.  The
+    corners (u, v) and (u + w, v + h) lie within +-CORNER_BOUND and span
+    a positive area, the one iou_matrix computes, so any two boxes have
+    an IoU in [0, 1].
     """
 
     u: float
@@ -28,6 +36,21 @@ class BBox:
                 raise ValueError(f"non-finite box field {name}: {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
+        u2, v2 = self.u + self.w, self.v + self.h
+        if not (
+            -CORNER_BOUND <= self.u and -CORNER_BOUND <= self.v
+            and u2 <= CORNER_BOUND and v2 <= CORNER_BOUND
+        ):
+            raise ValueError(
+                f"box corners must lie in [-{CORNER_BOUND:g}, {CORNER_BOUND:g}], "
+                f"got ({self.u}, {self.v}) to ({u2}, {v2})"
+            )
+        # A side far below its corner's magnitude rounds away (u + w == u), and a
+        # tiny area underflows to 0.
+        if not (u2 - self.u) * (v2 - self.v) > 0:
+            raise ValueError(
+                f"box corner area must be positive, got ({u2} - {self.u}) * ({v2} - {self.v})"
+            )
 
 
 def _corners(boxes: Sequence[BBox]) -> np.ndarray:

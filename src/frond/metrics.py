@@ -69,18 +69,17 @@ def _identity_bijection(counts: Mapping[tuple, int]) -> tuple[int, dict]:
     """(idtp, bijection): the gt -> pred bijection that maximizes the summed pair counts."""
     bijection: dict = {}
     idtp = 0
-    if counts:
-        gt_ids = sorted({g for g, _ in counts})
-        pred_ids = sorted({p for _, p in counts})
-        gt_index = {g: i for i, g in enumerate(gt_ids)}
-        pred_index = {p: j for j, p in enumerate(pred_ids)}
-        matrix = np.zeros((len(gt_ids), len(pred_ids)))
-        for (g, p), c in counts.items():
-            matrix[gt_index[g], pred_index[p]] = c
-        for gi, pj in hungarian(-matrix).pairs:
-            if matrix[gi, pj] > 0:
-                bijection[gt_ids[gi]] = pred_ids[pj]
-                idtp += int(matrix[gi, pj])
+    gt_ids = sorted({g for g, _ in counts})
+    pred_ids = sorted({p for _, p in counts})
+    gt_index = {g: i for i, g in enumerate(gt_ids)}
+    pred_index = {p: j for j, p in enumerate(pred_ids)}
+    matrix = np.zeros((len(gt_ids), len(pred_ids)))
+    for (g, p), c in counts.items():
+        matrix[gt_index[g], pred_index[p]] = c
+    for gi, pj in hungarian(-matrix).pairs:
+        if matrix[gi, pj] > 0:
+            bijection[gt_ids[gi]] = pred_ids[pj]
+            idtp += int(matrix[gi, pj])
     return idtp, bijection
 
 

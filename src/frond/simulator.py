@@ -13,11 +13,15 @@ import numpy as np
 
 from .embedding import normalize
 from .geometry import BBox, iou_matrix
-from .metrics import GtAnnotation, match_by_iou
+from .metrics import GtAnnotation, check_iou_threshold, match_by_iou
 from .tracker import Detection, FrameResult
 
 # A clutter box's side is at least this fraction of the shorter frame side.
 CLUTTER_MIN_SIDE = 0.03
+# Below this side a coordinate still resolves 1.2e-7, so the smallest box
+# generate draws, a leaf about 0.27 on a side at birth, keeps a positive
+# corner area (geometry.BBox); at 1e20 every leaf box rounds to zero area.
+MAX_FRAME_SIDE = 10**9
 
 
 def logistic_area(area_max: float, rate: float, midpoint: float, frame: int) -> float:
@@ -76,6 +80,11 @@ class ScenarioConfig:
             raise ValueError("scenario needs at least one frame and one leaf")
         if self.frame_width < 32 or self.frame_height < 32:
             raise ValueError("frame size must be at least 32x32")
+        if max(self.frame_width, self.frame_height) > MAX_FRAME_SIDE:
+            raise ValueError(
+                f"frame sides must not exceed {MAX_FRAME_SIDE}, "
+                f"got {self.frame_width}x{self.frame_height}"
+            )
         for name in ("occlusion_prob", "miss_prob", "death_prob"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
@@ -235,23 +244,24 @@ def generate(cfg: ScenarioConfig):
     return gt, det, truth_map
 
 
-def baseline_iou_tracker(frames: Mapping[int, list[Detection]], iou_gate: float) -> list[FrameResult]:
+def baseline_iou_tracker(
+    frames: Mapping[int, list[Detection]], iou_threshold: float
+) -> list[FrameResult]:
     """Motion-only reference tracker with one frame of memory.
 
     Current detections are matched to the previous frame's assigned
-    boxes by minimum-cost assignment on (1 - IoU), gated at iou_gate.
+    boxes by match_by_iou at iou_threshold, which must lie in (0, 1].
     Appearance is never used; a track that misses one frame is gone.
     Output rows follow the same conventions as the main tracker.
     """
-    if not 0.0 < iou_gate <= 1.0:
-        raise ValueError(f"iou_gate must lie in (0, 1], got {iou_gate}")
+    check_iou_threshold(iou_threshold)
     results = []
     previous: list[tuple[int, BBox]] = []
     next_id = 1
     for frame in sorted(frames):
         dets = frames[frame]
         overlap = iou_matrix([box for _, box in previous], [d.box for d in dets])
-        det_of_prev = dict(match_by_iou(overlap, iou_gate))
+        det_of_prev = dict(match_by_iou(overlap, iou_threshold))
         assignments = [(previous[ti][0], dj, dets[dj].box) for ti, dj in det_of_prev.items()]
         pruned = [tid for ti, (tid, _) in enumerate(previous) if ti not in det_of_prev]
         matched_dets = set(det_of_prev.values())

@@ -135,12 +135,10 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     if not width:
         bank.prototypes = np.zeros((0, dim))
         bank.sums = np.zeros((0, dim)) if mean_mode else None
-    embeddings = np.array([det.embedding for _, det in kept]) if kept else np.zeros((0, dim))
+    embeddings = np.array([det.embedding for _, det in kept]).reshape(len(kept), dim)
 
-    pairs = []
-    if len(bank.track_ids) and kept:
-        similarity = similarity_matrix(bank.prototypes, embeddings)
-        pairs = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s).pairs
+    similarity = similarity_matrix(bank.prototypes, embeddings)
+    pairs = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s).pairs
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     if mean_mode:
         bank.sums[rows] += embeddings[cols]

@@ -96,6 +96,8 @@ class TestHungarian:
             ([[1.0, np.inf], [0.5, 2.0]], "invalid cost: non-finite entry"),
             # A NaN is named even when an infinite entry comes first.
             ([[-np.inf, 1.0], [np.nan, 2.0]], "invalid cost: NaN entry"),
+            ([1.0, 2.0], "cost matrix must be 2-d"),
+            ([[[1.0, 2.0]]], "cost matrix must be 2-d"),
         ],
     )
     def test_invalid_cost_message_is_exact(self, cost, message):
@@ -103,9 +105,9 @@ class TestHungarian:
             hungarian(np.array(cost))
         assert str(err.value) == message
 
-    def test_rejects_empty(self):
-        with pytest.raises(ValueError):
-            hungarian(np.zeros((0, 3)))
+    @pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+    def test_empty_side_gives_no_pairs(self, shape):
+        assert hungarian(np.zeros(shape)).pairs == []
 
     def test_constant_matrix_prefers_diagonal(self):
         for shape in ((4, 4), (3, 5), (5, 3)):

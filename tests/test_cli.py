@@ -27,7 +27,7 @@ from frond.fileio import (
 )
 from frond.geometry import BBox
 from frond.metrics import GtAnnotation, evaluate, format_report_machine
-from frond.simulator import ScenarioConfig, generate
+from frond.simulator import MAX_FRAME_SIDE, ScenarioConfig, generate
 from frond.tracker import TrackedBox, TrackerParams, run_sequence, tracked_boxes
 from test_fileio import _config_text, tracker_params
 
@@ -95,6 +95,14 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 1
         assert capsys.readouterr().err == f"error: {config}: fp_rate must be finite, got nan\n"
         assert not out_dir.exists()
+
+    def test_frame_beyond_the_side_bound_is_data_error(self, tmp_path, capsys):
+        # At 1e20 every leaf box would round to zero area and score no true positive.
+        config = tmp_path / "scene.cfg"
+        config.write_text(CLEAN_SCENARIO.replace("frame_width=256", f"frame_width={10**20}"))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 1
+        expected = f"error: {config}: frame sides must not exceed 1000000000, got {10**20}x256\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestTrack:
@@ -188,6 +196,17 @@ class TestTrack:
 
 
 class TestEval:
+    def test_box_beyond_the_corner_bound_is_data_error(self, tmp_path, capsys):
+        # w * h would overflow in iou_matrix and score the identical pair as a miss.
+        gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+        gt.write_text("1,1,0.0,0.0,1e200,1e200\n")
+        results.write_text("1,1,0.0,0.0,1e200,1e200,1.0\n")
+        assert main(["eval", "--gt", str(gt), "--results", str(results)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {gt}:1: box corners must lie in [-1e+150, 1e+150], "
+            "got (0.0, 0.0) to (1e+200, 1e+200)\n"
+        )
+
     def test_iou_outside_unit_interval_is_usage_error(self, pipeline, capsys):
         out_dir, results = pipeline
         capsys.readouterr()
@@ -758,8 +777,8 @@ def tiny_scenes(draw):
     """
     n_frames = draw(st.integers(1, 6))
     n_leaves = draw(st.integers(1, 4))
-    frame_width = draw(st.integers(32, 4096))
-    frame_height = draw(st.integers(32, 4096))
+    frame_width = draw(st.integers(32, MAX_FRAME_SIDE))
+    frame_height = draw(st.integers(32, MAX_FRAME_SIDE))
     conf_lo, conf_hi = sorted(draw(st.lists(_UNIT, min_size=2, max_size=2)))
     windows = st.tuples(st.integers(1, n_leaves), st.integers(1, n_frames), st.integers(1, n_frames))
     return dict(

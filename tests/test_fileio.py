@@ -29,6 +29,7 @@ from frond.geometry import BBox
 from frond.metrics import GtAnnotation, leaf_accuracy_matrix, match_frames
 from frond.simulator import CLUTTER_MIN_SIDE, ScenarioConfig
 from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from test_geometry import accepted_boxes
 
 
 def sample_frames(rng, n_frames=3, per_frame=2, dim=6):
@@ -584,7 +585,6 @@ class TestResultsFile:
 
 
 _FINITE = st.floats(allow_nan=False, allow_infinity=False)
-_EXTENT = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 
 
 class TestBoxColumns:
@@ -596,7 +596,7 @@ class TestBoxColumns:
     @given(
         st.integers(1, 10**9),
         st.integers(1, 10**9),
-        st.builds(BBox, _FINITE, _FINITE, _EXTENT, _EXTENT),
+        accepted_boxes(),
         st.floats(0.0, 1.0),
     )
     def test_every_format_writes_the_same_box_columns(self, tmp_path, frame, row_id, box, conf):

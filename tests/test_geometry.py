@@ -1,15 +1,34 @@
 """Box validity, and IoU values and properties."""
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, reject, settings
+from hypothesis import strategies as st
 
-from frond.geometry import BBox, iou_matrix
+from frond.geometry import CORNER_BOUND, BBox, iou_matrix
 
 from oracles import _iou
 
 
 def random_box(rng) -> BBox:
     return BBox(rng.uniform(-20, 20), rng.uniform(-20, 20), rng.uniform(0.1, 30), rng.uniform(0.1, 30))
+
+
+@st.composite
+def accepted_boxes(draw):
+    """Boxes BBox accepts, spanned by two corners drawn within the bound.
+
+    A draw BBox refuses is rejected.
+    """
+    corner = st.floats(-CORNER_BOUND, CORNER_BOUND)
+    u, u2 = sorted((draw(corner), draw(corner)))
+    v, v2 = sorted((draw(corner), draw(corner)))
+    try:
+        return BBox(u, v, u2 - u, v2 - v)
+    except ValueError:
+        reject()
 
 
 def iou(a: BBox, b: BBox) -> float:
@@ -29,6 +48,27 @@ class TestBBox:
             BBox(float("nan"), 0, 10, 10)
         with pytest.raises(ValueError):
             BBox(0, 0, float("inf"), 10)
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ((0.0, 0.0, 1e200, 1e200),
+             "box corners must lie in [-1e+150, 1e+150], got (0.0, 0.0) to (1e+200, 1e+200)"),
+            ((-2e150, 0.0, 1.0, 1.0),
+             "box corners must lie in [-1e+150, 1e+150], got (-2e+150, 0.0) to (-2e+150, 1.0)"),
+            ((1e20, 0.0, 1.0, 1.0),
+             "box corner area must be positive, got (1e+20 - 1e+20) * (1.0 - 0.0)"),
+            ((0.0, 0.0, 1e-200, 1e-200),
+             "box corner area must be positive, got (1e-200 - 0.0) * (1e-200 - 0.0)"),
+        ],
+    )
+    def test_bound_message_is_exact(self, fields, message):
+        with pytest.raises(ValueError) as err:
+            BBox(*fields)
+        assert str(err.value) == message
+
+    def test_corners_on_the_bound_are_accepted(self):
+        BBox(-1e150, -1e150, 2e150, 2e150)
 
 
 class TestIou:
@@ -72,3 +112,12 @@ class TestIou:
     def test_matrix_empty_sides(self):
         assert iou_matrix([], [BBox(0, 0, 1, 1)]).shape == (0, 1)
         assert iou_matrix([BBox(0, 0, 1, 1)], []).shape == (1, 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(accepted_boxes(), accepted_boxes())
+    def test_accepted_boxes_give_iou_in_unit_interval(self, a, b):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            matrix = iou_matrix([a, b], [a, b])
+        assert ((0.0 <= matrix) & (matrix <= 1.0)).all()
+        assert matrix[0, 0] == matrix[1, 1] == 1.0

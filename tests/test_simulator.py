@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from frond.geometry import BBox
 from frond.simulator import (
     CLUTTER_MIN_SIDE,
+    MAX_FRAME_SIDE,
     ScenarioConfig,
     baseline_iou_tracker,
     generate,
@@ -98,6 +99,14 @@ class TestConfigValidation:
             )
         expected = f"box_jitter_std must not exceed the longer frame side 600, got {value}"
         assert str(err.value) == expected
+
+    def test_frame_sides_are_bounded_with_exact_message(self):
+        ScenarioConfig(n_frames=5, n_leaves=2, frame_width=MAX_FRAME_SIDE, frame_height=32)
+        for width, height in ((MAX_FRAME_SIDE + 1, 512), (512, 10**20)):
+            with pytest.raises(ValueError) as err:
+                ScenarioConfig(n_frames=5, n_leaves=2, frame_width=width, frame_height=height)
+            expected = f"frame sides must not exceed 1000000000, got {width}x{height}"
+            assert str(err.value) == expected
 
     def test_fp_rate_is_bounded_by_what_the_frame_holds(self):
         # Checked at the validator only: a rate near the bound draws millions of boxes.
@@ -345,10 +354,10 @@ class TestBaselineTracker:
         assert [tid for tid, _, _ in results[2].assignments] == [2]
 
     def test_gate_validation(self):
-        with pytest.raises(ValueError):
-            baseline_iou_tracker({1: []}, 0.0)
-        with pytest.raises(ValueError):
-            baseline_iou_tracker({1: []}, 1.5)
+        for value in (0.0, 1.5):
+            with pytest.raises(ValueError) as err:
+                baseline_iou_tracker({1: []}, value)
+            assert str(err.value) == f"iou_threshold must lie in (0, 1], got {value}"
 
     # Small frames crowd the leaves and the clutter, so IoU components interleave rows.
     @settings(max_examples=100, deadline=None)
@@ -359,18 +368,18 @@ class TestBaselineTracker:
         fp_rate=st.sampled_from([0.0, 1.0, 3.0]),
         jitter=st.sampled_from([0.0, 2.0, 8.0]),
         miss_prob=st.sampled_from([0.0, 0.3]),
-        iou_gate=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
+        iou_threshold=st.sampled_from([0.1, 0.3, 0.5, 1.0]),
         seed=st.integers(0, 2**16),
     )
     def test_property_output_ascends_by_track_id(
-        self, n_frames, n_leaves, side, fp_rate, jitter, miss_prob, iou_gate, seed
+        self, n_frames, n_leaves, side, fp_rate, jitter, miss_prob, iou_threshold, seed
     ):
         cfg = ScenarioConfig(
             n_frames=n_frames, n_leaves=n_leaves, frame_width=side, frame_height=side,
             fp_rate=fp_rate, box_jitter_std=jitter, miss_prob=miss_prob, embedding_dim=4, seed=seed,
         )
         _, frames, _ = generate(cfg)
-        for result in baseline_iou_tracker(frames, iou_gate):
+        for result in baseline_iou_tracker(frames, iou_threshold):
             labels = [track_id for track_id, _, _ in result.assignments]
             for ids in (labels, result.new_track_ids, result.pruned_track_ids):
                 assert all(a < b for a, b in zip(ids, ids[1:]))
