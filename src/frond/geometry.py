@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -21,7 +20,7 @@ class BBox:
     Coordinates are continuous; no rounding is applied anywhere.  The
     corners (u, v) and (u + w, v + h) lie within +-CORNER_BOUND and span
     a positive area, the one iou_matrix computes, so any two boxes have
-    an IoU in [0, 1].
+    an IoU in [0, 1].  NaN and +-inf fail these checks too.
     """
 
     u: float
@@ -30,10 +29,6 @@ class BBox:
     h: float
 
     def __post_init__(self):
-        for name in ("u", "v", "w", "h"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"non-finite box field {name}: {value!r}")
         if self.w <= 0 or self.h <= 0:
             raise ValueError(f"box extent must be positive, got w={self.w}, h={self.h}")
         u2, v2 = self.u + self.w, self.v + self.h

@@ -53,6 +53,12 @@ class ScenarioConfig:
     permanent angular offset to every leaf from that frame on.
     occlusion_windows are (leaf_id, first_frame, last_frame) inclusive
     spans during which the leaf is hidden entirely.
+
+    Each range is one closed interval, which NaN and +-inf fail: frame
+    sides [32, MAX_FRAME_SIDE]; occlusion_prob, miss_prob, death_prob
+    [0, 1]; fp_rate [0, frame area / (CLUTTER_MIN_SIDE * shorter side)^2];
+    box_jitter_std [0, longer side]; embedding_noise_std and the total
+    drift embedding_drift_rate * n_frames [0, 1e306].
     """
 
     n_frames: int
@@ -78,47 +84,25 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.n_frames < 1 or self.n_leaves < 1:
             raise ValueError("scenario needs at least one frame and one leaf")
-        if self.frame_width < 32 or self.frame_height < 32:
-            raise ValueError("frame size must be at least 32x32")
-        if max(self.frame_width, self.frame_height) > MAX_FRAME_SIDE:
-            raise ValueError(
-                f"frame sides must not exceed {MAX_FRAME_SIDE}, "
-                f"got {self.frame_width}x{self.frame_height}"
-            )
-        for name in ("occlusion_prob", "miss_prob", "death_prob"):
-            value = getattr(self, name)
-            if not 0.0 <= value <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1], got {value}")
-        # NaN slips past the `< 0.0` checks below, and inf reaches the samplers.
-        for name in ("fp_rate", "box_jitter_std", "embedding_noise_std", "embedding_drift_rate"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-        if self.fp_rate < 0.0:
-            raise ValueError(f"fp_rate must be non-negative, got {self.fp_rate}")
+        width, height = self.frame_width, self.frame_height
+        if not (32 <= width <= MAX_FRAME_SIDE and 32 <= height <= MAX_FRAME_SIDE):
+            raise ValueError(f"frame sides must lie in [32, {MAX_FRAME_SIDE}], got {width}x{height}")
         # More clutter per frame than the smallest clutter boxes could tile is
         # no longer noise, and at 1e300 the Poisson sampler refuses the rate.
-        smallest = CLUTTER_MIN_SIDE * min(self.frame_width, self.frame_height)
-        most = self.frame_width * self.frame_height / smallest**2
-        if self.fp_rate > most:
-            raise ValueError(
-                f"fp_rate must not exceed {most:g} clutter boxes per frame, "
-                f"got {self.fp_rate}"
-            )
-        if self.box_jitter_std < 0.0 or self.embedding_noise_std < 0.0:
-            raise ValueError("noise standard deviations must be non-negative")
-        # Beyond the frame a jitter is no longer noise, and at 1e300 IoU overflows.
-        longest = max(self.frame_width, self.frame_height)
-        if self.box_jitter_std > longest:
-            raise ValueError(
-                f"box_jitter_std must not exceed the longer frame side {longest}, "
-                f"got {self.box_jitter_std}"
-            )
-        if self.embedding_drift_rate < 0.0:
-            raise ValueError("embedding_drift_rate must be non-negative")
-        # Total drift is embedding_drift_rate * n_frames; the bound keeps embeddings finite.
-        if max(self.embedding_noise_std, self.embedding_drift_rate * self.n_frames) > 1e306:
-            raise ValueError("embedding_noise_std and total drift must not exceed 1e306")
+        smallest = CLUTTER_MIN_SIDE * min(width, height)
+        for name, value, top in (
+            ("occlusion_prob", self.occlusion_prob, 1.0),
+            ("miss_prob", self.miss_prob, 1.0),
+            ("death_prob", self.death_prob, 1.0),
+            ("fp_rate", self.fp_rate, width * height / smallest**2),
+            # Beyond the frame a jitter is no longer noise, and at 1e300 IoU overflows.
+            ("box_jitter_std", self.box_jitter_std, max(width, height)),
+            # Total drift is embedding_drift_rate * n_frames; the bound keeps embeddings finite.
+            ("embedding_noise_std", self.embedding_noise_std, 1e306),
+            ("embedding_drift_rate * n_frames", self.embedding_drift_rate * self.n_frames, 1e306),
+        ):
+            if not 0.0 <= value <= top:
+                raise ValueError(f"{name} must lie in [0, {top:g}], got {value}")
         if not 0.0 <= self.conf_lo <= self.conf_hi <= 1.0:
             raise ValueError("need 0 <= conf_lo <= conf_hi <= 1")
         if self.embedding_dim < 2:
@@ -130,7 +114,7 @@ class ScenarioConfig:
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         for frame, angle in self.rotation_events:
-            if frame < 1 or not math.isfinite(angle):
+            if frame < 1:
                 raise ValueError(f"bad rotation event ({frame}, {angle})")
         if not math.isfinite(sum(abs(angle) for _, angle in self.rotation_events)):
             raise ValueError("rotation event angles must have a finite sum")

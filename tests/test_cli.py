@@ -93,7 +93,8 @@ class TestSimulate:
         config.write_text(CLEAN_SCENARIO + "fp_rate=nan\n")
         out_dir = tmp_path / "sim"
         assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 1
-        assert capsys.readouterr().err == f"error: {config}: fp_rate must be finite, got nan\n"
+        expected = f"error: {config}: fp_rate must lie in [0, 1111.11], got nan\n"
+        assert capsys.readouterr().err == expected
         assert not out_dir.exists()
 
     def test_frame_beyond_the_side_bound_is_data_error(self, tmp_path, capsys):
@@ -101,7 +102,7 @@ class TestSimulate:
         config = tmp_path / "scene.cfg"
         config.write_text(CLEAN_SCENARIO.replace("frame_width=256", f"frame_width={10**20}"))
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 1
-        expected = f"error: {config}: frame sides must not exceed 1000000000, got {10**20}x256\n"
+        expected = f"error: {config}: frame sides must lie in [32, 1000000000], got {10**20}x256\n"
         assert capsys.readouterr().err == expected
 
 

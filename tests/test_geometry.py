@@ -1,5 +1,6 @@
 """Box validity, and IoU values and properties."""
 
+import math
 import warnings
 
 import numpy as np
@@ -31,6 +32,25 @@ def accepted_boxes(draw):
         reject()
 
 
+# NaN, +-inf, signed zeros, denormals, 1, the corner bound and its float
+# neighbours, and twice the bound.
+_EDGES = [
+    math.nan, math.inf, 0.0, 5e-324, 1.0, CORNER_BOUND,
+    math.nextafter(CORNER_BOUND, 0.0), math.nextafter(CORNER_BOUND, math.inf), 2 * CORNER_BOUND,
+]
+
+
+@st.composite
+def box_fields(draw):
+    """(u, v, w, h), each value an edge or any float; half of the draws
+    pick the far corner (u + w, v + h) instead of the extent."""
+    value = st.sampled_from(_EDGES + [-x for x in _EDGES]) | st.floats()
+    u, v, w, h = (draw(value) for _ in range(4))
+    if draw(st.booleans()):
+        w, h = w - u, h - v
+    return u, v, w, h
+
+
 def iou(a: BBox, b: BBox) -> float:
     """The IoU of one pair, read from a 1 x 1 iou_matrix."""
     return float(iou_matrix([a], [b])[0, 0])
@@ -44,10 +64,34 @@ class TestBBox:
             BBox(0, 0, 10, -1)
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            BBox(float("nan"), 0, 10, 10)
-        with pytest.raises(ValueError):
-            BBox(0, 0, float("inf"), 10)
+        # NaN and +inf fail the corner bound; a -inf extent fails the extent check.
+        for fields, message in (
+            ((float("nan"), 0, 10, 10),
+             "box corners must lie in [-1e+150, 1e+150], got (nan, 0) to (nan, 10)"),
+            ((0, 0, float("inf"), 10),
+             "box corners must lie in [-1e+150, 1e+150], got (0, 0) to (inf, 10)"),
+            ((0, 0, 10, float("-inf")), "box extent must be positive, got w=10, h=-inf"),
+        ):
+            with pytest.raises(ValueError) as err:
+                BBox(*fields)
+            assert str(err.value) == message
+
+    @settings(max_examples=1000, deadline=None)
+    @given(box_fields())
+    def test_accepted_exactly_when_extent_corners_and_area_hold(self, fields):
+        u, v, w, h = fields
+        corners = (u, v, u + w, v + h)
+        valid = (
+            w > 0 and h > 0
+            and all(-CORNER_BOUND <= c <= CORNER_BOUND for c in corners)
+            and (u + w - u) * (v + h - v) > 0
+        )
+        try:
+            BBox(u, v, w, h)
+        except ValueError:
+            assert not valid
+        else:
+            assert valid
 
     @pytest.mark.parametrize(
         "fields, message",

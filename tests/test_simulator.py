@@ -53,34 +53,85 @@ class TestLogisticArea:
         assert logistic_area(500.0, 0.5, 10.0, 200) == pytest.approx(500.0, abs=1e-9)
 
 
+# Every refused config with its exact message, pinning which check reports it.
+REJECTED = [
+    (dict(n_frames=0, n_leaves=2), "scenario needs at least one frame and one leaf"),
+    (dict(n_frames=5, n_leaves=0), "scenario needs at least one frame and one leaf"),
+    (dict(n_frames=5, n_leaves=2, frame_width=16),
+     "frame sides must lie in [32, 1000000000], got 16x512"),
+    (dict(n_frames=5, n_leaves=2, occlusion_prob=1.5),
+     "occlusion_prob must lie in [0, 1], got 1.5"),
+    (dict(n_frames=5, n_leaves=2, miss_prob=-0.1), "miss_prob must lie in [0, 1], got -0.1"),
+    (dict(n_frames=5, n_leaves=2, fp_rate=-1.0), "fp_rate must lie in [0, 1111.11], got -1.0"),
+    (dict(n_frames=5, n_leaves=2, box_jitter_std=-0.5),
+     "box_jitter_std must lie in [0, 512], got -0.5"),
+    (dict(n_frames=5, n_leaves=2, conf_lo=0.8, conf_hi=0.4), "need 0 <= conf_lo <= conf_hi <= 1"),
+    (dict(n_frames=5, n_leaves=2, conf_hi=1.2), "need 0 <= conf_lo <= conf_hi <= 1"),
+    (dict(n_frames=5, n_leaves=2, embedding_dim=1), "embedding_dim must be at least 2, got 1"),
+    (dict(n_frames=5, n_leaves=2, latent_similarity=1.0), "latent_similarity must lie in [0, 1)"),
+    (dict(n_frames=5, n_leaves=2, birth_window=5), "birth_window must lie in [0, n_frames)"),
+    (dict(n_frames=5, n_leaves=2, rotation_events=((0, 1.0),)), "bad rotation event (0, 1.0)"),
+    (dict(n_frames=5, n_leaves=2, occlusion_windows=((3, 1, 2),)),
+     "occlusion window names unknown leaf 3"),
+    (dict(n_frames=5, n_leaves=2, occlusion_windows=((1, 4, 2),)),
+     "bad occlusion window (1, 4, 2)"),
+    (dict(n_frames=5, n_leaves=2, occlusion_windows=((1, 1, 9),)),
+     "bad occlusion window (1, 1, 9)"),
+    # A NaN or infinite angle fails the finite-sum check.
+    (dict(n_frames=5, n_leaves=2, rotation_events=((1, math.inf),)),
+     "rotation event angles must have a finite sum"),
+    (dict(n_frames=5, n_leaves=2, rotation_events=((1, math.nan),)),
+     "rotation event angles must have a finite sum"),
+]
+
+KNOBS = (
+    "occlusion_prob", "miss_prob", "death_prob", "fp_rate", "box_jitter_std",
+    "embedding_noise_std", "embedding_drift_rate",
+)
+
+
+def interval(name, value, width, height, n_frames):
+    """The label, the checked quantity and the top of a knob's closed interval [0, top]."""
+    if name == "embedding_drift_rate":
+        return "embedding_drift_rate * n_frames", value * n_frames, 1e306
+    top = {
+        "fp_rate": width * height / (CLUTTER_MIN_SIDE * min(width, height)) ** 2,
+        "box_jitter_std": max(width, height),
+        "embedding_noise_std": 1e306,
+    }.get(name, 1.0)
+    return name, value, top
+
+
+@st.composite
+def knob_settings(draw):
+    """A knob, frame sides, n_frames and a value: special floats, the
+    interval's ends and their float neighbours, or any float."""
+    name = draw(st.sampled_from(KNOBS))
+    width, height = (draw(st.integers(32, MAX_FRAME_SIDE)) for _ in range(2))
+    n_frames = draw(st.integers(1, 50))
+    _, _, top = interval(name, 1.0, width, height, n_frames)
+    if name == "embedding_drift_rate":
+        top /= n_frames
+    edges = [top, math.nextafter(top, -math.inf), math.nextafter(top, math.inf), 5e-324, -5e-324]
+    value = draw(
+        st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 0.0] + edges)
+        | st.floats(-2.0 * top, 2.0 * top)
+        | st.floats()
+    )
+    return name, value, width, height, n_frames
+
+
 class TestConfigValidation:
     def test_accepts_defaults(self):
         ScenarioConfig(n_frames=5, n_leaves=2)
 
     @pytest.mark.parametrize(
-        "kwargs",
-        [
-            dict(n_frames=0, n_leaves=2),
-            dict(n_frames=5, n_leaves=0),
-            dict(n_frames=5, n_leaves=2, frame_width=16),
-            dict(n_frames=5, n_leaves=2, occlusion_prob=1.5),
-            dict(n_frames=5, n_leaves=2, miss_prob=-0.1),
-            dict(n_frames=5, n_leaves=2, fp_rate=-1.0),
-            dict(n_frames=5, n_leaves=2, box_jitter_std=-0.5),
-            dict(n_frames=5, n_leaves=2, conf_lo=0.8, conf_hi=0.4),
-            dict(n_frames=5, n_leaves=2, conf_hi=1.2),
-            dict(n_frames=5, n_leaves=2, embedding_dim=1),
-            dict(n_frames=5, n_leaves=2, latent_similarity=1.0),
-            dict(n_frames=5, n_leaves=2, birth_window=5),
-            dict(n_frames=5, n_leaves=2, rotation_events=((0, 1.0),)),
-            dict(n_frames=5, n_leaves=2, occlusion_windows=((3, 1, 2),)),
-            dict(n_frames=5, n_leaves=2, occlusion_windows=((1, 4, 2),)),
-            dict(n_frames=5, n_leaves=2, occlusion_windows=((1, 1, 9),)),
-        ],
+        "kwargs, message", REJECTED, ids=[f"kwargs{i}" for i in range(len(REJECTED))]
     )
-    def test_rejects(self, kwargs):
-        with pytest.raises(ValueError):
+    def test_rejects(self, kwargs, message):
+        with pytest.raises(ValueError) as err:
             ScenarioConfig(**kwargs)
+        assert str(err.value) == message
 
     @pytest.mark.parametrize(
         "name", ["fp_rate", "box_jitter_std", "embedding_noise_std", "embedding_drift_rate"]
@@ -89,7 +140,44 @@ class TestConfigValidation:
     def test_rejects_non_finite_with_exact_message(self, name, value):
         with pytest.raises(ValueError) as err:
             ScenarioConfig(n_frames=5, n_leaves=2, **{name: value})
-        assert str(err.value) == f"{name} must be finite, got {value}"
+        interval = {
+            "fp_rate": "fp_rate must lie in [0, 1111.11]",
+            "box_jitter_std": "box_jitter_std must lie in [0, 512]",
+            "embedding_noise_std": "embedding_noise_std must lie in [0, 1e+306]",
+            "embedding_drift_rate": "embedding_drift_rate * n_frames must lie in [0, 1e+306]",
+        }[name]
+        assert str(err.value) == f"{interval}, got {value}"
+
+    @settings(max_examples=500, deadline=None)
+    @given(knob_settings())
+    def test_knob_accepted_exactly_inside_its_interval(self, setting):
+        name, value, width, height, n_frames = setting
+        label, quantity, top = interval(name, value, width, height, n_frames)
+        fields = dict(frame_width=width, frame_height=height, **{name: value})
+        if 0.0 <= quantity <= top:
+            ScenarioConfig(n_frames=n_frames, n_leaves=2, **fields)
+            return
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=n_frames, n_leaves=2, **fields)
+        assert str(err.value) == f"{label} must lie in [0, {top:g}], got {quantity}"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.sampled_from([-1, 0, 31, 32, 33, MAX_FRAME_SIDE, MAX_FRAME_SIDE + 1])
+            | st.integers(-10, 2 * MAX_FRAME_SIDE),
+            min_size=2,
+            max_size=2,
+        )
+    )
+    def test_frame_sides_accepted_exactly_inside_the_interval(self, sides):
+        width, height = sides
+        if 32 <= width <= MAX_FRAME_SIDE and 32 <= height <= MAX_FRAME_SIDE:
+            ScenarioConfig(n_frames=5, n_leaves=2, frame_width=width, frame_height=height)
+            return
+        with pytest.raises(ValueError) as err:
+            ScenarioConfig(n_frames=5, n_leaves=2, frame_width=width, frame_height=height)
+        assert str(err.value) == f"frame sides must lie in [32, 1000000000], got {width}x{height}"
 
     @pytest.mark.parametrize("value", [math.nextafter(600.0, math.inf), 1e300])
     def test_rejects_jitter_beyond_the_frame_with_exact_message(self, value):
@@ -97,15 +185,14 @@ class TestConfigValidation:
             ScenarioConfig(
                 n_frames=5, n_leaves=2, frame_width=600, frame_height=400, box_jitter_std=value
             )
-        expected = f"box_jitter_std must not exceed the longer frame side 600, got {value}"
-        assert str(err.value) == expected
+        assert str(err.value) == f"box_jitter_std must lie in [0, 600], got {value}"
 
     def test_frame_sides_are_bounded_with_exact_message(self):
         ScenarioConfig(n_frames=5, n_leaves=2, frame_width=MAX_FRAME_SIDE, frame_height=32)
         for width, height in ((MAX_FRAME_SIDE + 1, 512), (512, 10**20)):
             with pytest.raises(ValueError) as err:
                 ScenarioConfig(n_frames=5, n_leaves=2, frame_width=width, frame_height=height)
-            expected = f"frame sides must not exceed 1000000000, got {width}x{height}"
+            expected = f"frame sides must lie in [32, 1000000000], got {width}x{height}"
             assert str(err.value) == expected
 
     def test_fp_rate_is_bounded_by_what_the_frame_holds(self):
@@ -117,22 +204,25 @@ class TestConfigValidation:
                 ScenarioConfig(
                     n_frames=5, n_leaves=2, frame_width=600, frame_height=400, fp_rate=value
                 )
-            expected = f"fp_rate must not exceed 1666.67 clutter boxes per frame, got {value}"
-            assert str(err.value) == expected
+            assert str(err.value) == f"fp_rate must lie in [0, 1666.67], got {value}"
 
     def test_embedding_noise_and_total_drift_are_bounded(self):
         # Past the bound a raw embedding entry, latent + drift + noise, can overflow.
         ScenarioConfig(
             n_frames=4, n_leaves=2, embedding_noise_std=1e306, embedding_drift_rate=2.5e305
         )
-        for fields in (
-            dict(embedding_noise_std=math.nextafter(1e306, math.inf)),
-            dict(embedding_drift_rate=math.nextafter(2.5e305, math.inf)),
-            dict(embedding_drift_rate=3.6e307),
+        noise = math.nextafter(1e306, math.inf)
+        drift = "embedding_drift_rate * n_frames must lie in [0, 1e+306]"
+        for fields, message in (
+            (dict(embedding_noise_std=noise),
+             f"embedding_noise_std must lie in [0, 1e+306], got {noise}"),
+            (dict(embedding_drift_rate=math.nextafter(2.5e305, math.inf)),
+             f"{drift}, got {math.nextafter(2.5e305, math.inf) * 4}"),
+            (dict(embedding_drift_rate=3.6e307), f"{drift}, got {3.6e307 * 4}"),
         ):
             with pytest.raises(ValueError) as err:
                 ScenarioConfig(n_frames=4, n_leaves=2, **fields)
-            assert str(err.value) == "embedding_noise_std and total drift must not exceed 1e306"
+            assert str(err.value) == message
 
     def test_rotation_angles_need_a_finite_sum(self):
         # Each angle is finite, but from frame 2 on generate would rotate by inf.
@@ -145,7 +235,8 @@ class TestConfigValidation:
     def test_rejects_negative_drift_with_exact_message(self):
         with pytest.raises(ValueError) as err:
             ScenarioConfig(n_frames=5, n_leaves=2, embedding_drift_rate=-0.1)
-        assert str(err.value) == "embedding_drift_rate must be non-negative"
+        expected = f"embedding_drift_rate * n_frames must lie in [0, 1e+306], got {-0.1 * 5}"
+        assert str(err.value) == expected
 
     def test_rejects_negative_seed_with_exact_message(self):
         # numpy's generator refuses it, so it would fail only once generate runs.
