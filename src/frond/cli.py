@@ -113,9 +113,9 @@ def _cmd_triplets(args) -> int:
 
 def _grid_axis(raw: str, flag: str, kind=float) -> list:
     try:
-        values = [kind(part.strip()) for part in raw.split(",") if part.strip() != ""]
+        values = [fileio.read_value(kind, part.strip()) for part in raw.split(",") if part.strip() != ""]
     except ValueError:
-        raise _UsageError(f"{flag} expects a comma-separated float list, got {raw!r}") from None
+        raise _UsageError(f"{flag} expects a comma-separated {kind.__name__} list, got {raw!r}") from None
     if not values:
         raise _UsageError("sweep grid must be non-empty on every axis")
     return values

@@ -377,8 +377,15 @@ def _read_kv(path) -> dict[str, str]:
     return values
 
 
+def read_value(kind, raw: str):
+    """raw, a config value or a sweep-axis value, converted by kind; ValueError on what _strict rejects."""
+    if not _strict(raw):
+        raise ValueError(f"malformed value: {raw!r}")
+    return kind(raw)
+
+
 def _cast(kind, raw: str, key: str, path):
-    """raw converted by kind; a value that _strict rejects is malformed too.
+    """raw converted by read_value, or by each piece's kind for a tuple kind.
 
     A tuple[tuple[...], ...] kind reads comma-separated entries of
     colon-joined pieces, each piece converted by its own type; an empty
@@ -394,11 +401,9 @@ def _cast(kind, raw: str, key: str, path):
             entries.append(tuple(_cast(k, p, key, path) for k, p in zip(piece_kinds, pieces)))
         return tuple(entries)
     try:
-        if _strict(raw):
-            return kind(raw)
+        return read_value(kind, raw)
     except ValueError:
-        pass
-    raise ValueError(f"{path}: malformed value for {key}: {raw!r}")
+        raise ValueError(f"{path}: malformed value for {key}: {raw!r}") from None
 
 
 def _read_config(path, cls):

@@ -104,6 +104,11 @@ class TestSimulate:
         assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 1
         expected = f"error: {config}: frame sides must lie in [32, 1000000000], got {10**20}x256\n"
         assert capsys.readouterr().err == expected
+        # The same interval refuses a side below its floor.
+        config.write_text(CLEAN_SCENARIO.replace("frame_width=256", "frame_width=16"))
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 1
+        expected = f"error: {config}: frame sides must lie in [32, 1000000000], got 16x256\n"
+        assert capsys.readouterr().err == expected
 
 
 class TestTrack:
@@ -185,15 +190,22 @@ class TestTrack:
         assert read_results(results) == tracked_boxes(run_sequence(det, TrackerParams()))
 
     @pytest.mark.parametrize("setting", ["miss_prob=1.0", "occlusion_prob=1.0"])
-    def test_scene_without_detections_tracks(self, tmp_path, setting):
+    def test_scene_without_detections_tracks(self, tmp_path, capsys, setting):
         config = tmp_path / "scene.cfg"
         config.write_text(f"n_frames=4\nn_leaves=2\nembedding_dim=8\n{setting}\n")
         out_dir = tmp_path / "sim"
         assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
         assert (out_dir / "det.txt").read_text() == "#dim=8;empty=1,2,3,4\n"
+        assert np.load(out_dir / "det.npy").shape == (0, 8)
         results = tmp_path / "results.txt"
         assert main(["track", "--detections", str(out_dir / "det.txt"), "--out", str(results)]) == 0
         assert results.read_text() == ""
+        # Missed leaves are still in the ground truth; hidden ones are not.
+        capsys.readouterr()
+        code = main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results)])
+        hidden = setting == "occlusion_prob=1.0"
+        expected = (1, "error: empty ground truth\n") if hidden else (0, "")
+        assert (code, capsys.readouterr().err) == expected
 
 
 class TestEval:
@@ -297,6 +309,8 @@ class TestEval:
         capsys.readouterr()
         assert main(["eval", "--gt", str(out_dir / "gt.txt"), "--results", str(results), "--machine"]) == 0
         assert "tp=0\n" in capsys.readouterr().out
+        # Each gt frame scores against a (n_gt, 0) IoU table.
+        assert main(["sweep", "--detections", str(out_dir / "det.txt"), "--gt", str(out_dir / "gt.txt")]) == 0
 
     # The largest jitter the validator accepts still scores without a numpy warning.
     @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -730,6 +744,37 @@ class TestSweep:
         )
         assert code == 2
         assert capsys.readouterr().err == "error: sweep grid must be non-empty on every axis\n"
+
+    # Finite embeddings whose squared norm overflows: single-row and batched
+    # prototype normalization warn nothing, at tau_s = -1 too.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_huge_finite_embedding_drift_sweeps(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.write_text("n_frames=4\nn_leaves=3\nembedding_dim=8\nembedding_drift_rate=1e300\n")
+        out_dir = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(out_dir)]) == 0
+        det, gt = str(out_dir / "det.txt"), str(out_dir / "gt.txt")
+        assert main(["track", "--detections", det, "--out", str(tmp_path / "r.txt")]) == 0
+        sweep = ["sweep", "--detections", det, "--gt", gt, "--tau-s=-1,0.4", "--ema-mode", "ema,mean"]
+        assert main(sweep) == 0
+
+    # A sweep axis reads each value by the rule a --params file uses.
+    @pytest.mark.parametrize(
+        "flag, value, kind",
+        [
+            ("--tau-s", "0_1", "float"),
+            ("--tau-s", "\uff10.\uff14", "float"),
+            ("--alpha", "0_5", "float"),
+            ("--ema-mode", "\uff45ma", "str"),
+        ],
+    )
+    def test_value_a_params_file_refuses_is_usage_error(self, pipeline, capsys, flag, value, kind):
+        out_dir, _ = pipeline
+        capsys.readouterr()
+        inputs = ["--detections", str(out_dir / "det.txt"), "--gt", str(out_dir / "gt.txt")]
+        assert main(["sweep", *inputs, flag, value]) == 2
+        expected = f"error: {flag} expects a comma-separated {kind} list, got {value!r}\n"
+        assert capsys.readouterr().err == expected
 
     def test_negative_first_value_reads_with_or_without_equals(self, pipeline, tmp_path):
         out_dir, _ = pipeline
