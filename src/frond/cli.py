@@ -26,7 +26,7 @@ from . import fileio, metrics
 from .embedding import STRATEGY_KINDS, SamplingStrategy, check_count_and_seed, sample_triplets
 from .metrics import IOU_THRESHOLD, format_report, format_report_machine, leaf_accuracy_matrix
 from .simulator import generate
-from .tracker import TrackerParams, run_sequence, tracked_boxes
+from .tracker import TrackerParams, run_grid, run_sequence, tracked_boxes
 
 _SWEEP_COLUMNS = ("tau_s", "alpha", "mode", "hota", "deta", "assa", "mota", "idf1")
 
@@ -111,6 +111,16 @@ def _cmd_triplets(args) -> int:
     return 0
 
 
+def _flag_value(kind):
+    """An argparse type that reads by the --params rule; kind's name keeps argparse's message."""
+
+    def convert(raw: str):
+        return fileio.read_value(kind, raw)
+
+    convert.__name__ = kind.__name__
+    return convert
+
+
 def _grid_axis(raw: str, flag: str, kind=float) -> list:
     try:
         values = [fileio.read_value(kind, part.strip()) for part in raw.split(",") if part.strip() != ""]
@@ -133,12 +143,16 @@ def _cmd_sweep(args) -> int:
         metrics.check_iou_threshold(args.iou)
     frames = fileio.read_detections(_require_file(args.detections))
     gt = fileio.read_gt(_require_file(args.gt))
-    runs = ({res.frame: res.assignments for res in run_sequence(frames, params)} for params in grid)
+    runs = ({res.frame: res.assignments for res in results} for results in run_grid(frames, grid))
     lines = [",".join(_SWEEP_COLUMNS)]
+    # match_runs yields one table object per distinct run, and keeps each alive
+    # while it runs, so a table's id keys its scores.
+    scores: dict = {}
     for params, table in zip(grid, metrics.match_runs(gt, frames, runs, args.iou)):
-        report = metrics.report_from_table(table)
-        scores = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
-        lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores]))
+        if id(table) not in scores:
+            report = metrics.report_from_table(table)
+            scores[id(table)] = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
+        lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores[id(table)]]))
     if args.out is not None:
         fileio._write_lines(args.out, lines)
     else:
@@ -166,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_cmd = commands.add_parser("eval", help="score a results file against ground truth")
     evaluate_cmd.add_argument("--gt", required=True)
     evaluate_cmd.add_argument("--results", required=True)
-    evaluate_cmd.add_argument("--iou", type=float, default=IOU_THRESHOLD)
+    evaluate_cmd.add_argument("--iou", type=_flag_value(float), default=IOU_THRESHOLD)
     evaluate_cmd.add_argument("--machine", action="store_true", help="key=value output")
     evaluate_cmd.add_argument("--leaf-matrix", default=None, help="write per-leaf heatmap CSV here")
     evaluate_cmd.set_defaults(func=_cmd_eval)
@@ -174,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
     triplets = commands.add_parser("triplets", help="sample training triplets from gt files")
     triplets.add_argument("--gt-corpus", nargs="+", required=True, help="one gt file per plant")
     triplets.add_argument("--strategy", choices=STRATEGY_KINDS, required=True)
-    triplets.add_argument("--delta-t", type=int, default=None)
-    triplets.add_argument("--count", type=int, required=True)
-    triplets.add_argument("--seed", type=int, default=0)
+    triplets.add_argument("--delta-t", type=_flag_value(int), default=None)
+    triplets.add_argument("--count", type=_flag_value(int), required=True)
+    triplets.add_argument("--seed", type=_flag_value(int), default=0)
     triplets.add_argument("--out", required=True)
     triplets.set_defaults(func=_cmd_triplets)
 
@@ -189,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--tau-s", default=str(defaults.tau_s), help="comma-separated similarity gates")
     sweep.add_argument("--alpha", default=str(defaults.alpha), help="comma-separated EMA weights")
     sweep.add_argument("--ema-mode", default=defaults.ema_mode, help="comma-separated: ema, mean")
-    sweep.add_argument("--iou", type=float, default=IOU_THRESHOLD)
+    sweep.add_argument("--iou", type=_flag_value(float), default=IOU_THRESHOLD)
     sweep.add_argument("--out", default=None, help="CSV path; stdout when omitted")
     sweep.set_defaults(func=_cmd_sweep)
     return parser

@@ -181,7 +181,8 @@ def match_runs(
     out or mapped to [] has none).  Ground truth is grouped, and its IoU
     against each frame's detections worked out, once; each run takes its
     columns by its detection indices.  This is the one place a
-    MatchTable is built.
+    MatchTable is built, and each distinct run is matched once: runs with
+    equal (frame, track id, detection index) rows get the same table.
 
     Raises:
         ValueError: as match_frames does.
@@ -193,9 +194,13 @@ def match_runs(
         g_rows = gt_by_frame.get(frame, [])
         boxes = [det.box for det in frames.get(frame, [])]
         overlaps[frame] = ([r.leaf_id for r in g_rows], iou_matrix([r.box for r in g_rows], boxes))
+    tables: dict = {}
     for run in runs:
-        predicted = {f for f, rows in run.items() if rows}
-        table_frames = sorted(set(gt_by_frame) | predicted)
+        key = tuple(sorted((f, tuple(row[:2] for row in rows)) for f, rows in run.items() if rows))
+        if key in tables:
+            yield tables[key]
+            continue
+        table_frames = sorted(set(gt_by_frame) | {f for f, _ in key})
         matches, misses, false_alarms = {}, {}, {}
         for frame in table_frames:
             gt_ids, all_columns = overlaps[frame]
@@ -212,7 +217,8 @@ def match_runs(
         fn = sum(len(ids) for ids in misses.values())
         fp = sum(len(ids) for ids in false_alarms.values())
         idtp, bijection = _identity_bijection(pair_counts)
-        yield MatchTable(table_frames, matches, misses, false_alarms, tp, fn, fp, pair_counts, idtp, bijection)
+        tables[key] = MatchTable(table_frames, matches, misses, false_alarms, tp, fn, fp, pair_counts, idtp, bijection)
+        yield tables[key]
 
 
 def _association_accuracy(table: MatchTable) -> float:

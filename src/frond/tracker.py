@@ -3,14 +3,17 @@
 A memory bank keeps one prototype embedding per tracked leaf.  Each frame
 is matched to the bank by minimum-cost assignment on (1 - similarity),
 low-similarity pairs are gated away, matched prototypes are updated, and
-tracks unseen for more than tau_a consecutive frames are pruned.
+tracks unseen for more than tau_a consecutive frames are pruned.  run_grid
+runs many parameter rows over one sequence, sharing a bank between rows
+until their gate decisions differ.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from copy import deepcopy
+from dataclasses import dataclass, field, replace
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -108,15 +111,13 @@ class TrackedBox:
     box: BBox
 
 
-def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int) -> FrameResult:
-    """Advance the bank by one frame, in place.
+def _propose(bank: MemoryBank, detections: list[Detection], params: TrackerParams):
+    """The half of step that tau_s does not touch: (kept, embeddings, similarity, solved).
 
-    Confidence-filtered detections are matched to prototypes by
-    minimum-cost assignment on (1 - similarity) and gated at tau_s.
-    Matched tracks absorb their detection (EMA or running mean, then
-    renormalized) and reset age to 0; every other track ages by one and
-    is pruned once age exceeds tau_a.  Unmatched detections, gated ones
-    included, then found new tracks in detection order.
+    kept lists the confidence-filtered (index, detection) pairs and
+    embeddings their rows; solved is the minimum-cost assignment of
+    prototypes to them on (1 - similarity), before the gate.  An empty
+    bank takes the width and mode of this frame.
 
     Raises:
         ValueError: on a mismatch of embedding dimension or of ema_mode.
@@ -136,9 +137,13 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
         bank.prototypes = np.zeros((0, dim))
         bank.sums = np.zeros((0, dim)) if mean_mode else None
     embeddings = np.array([det.embedding for _, det in kept]).reshape(len(kept), dim)
-
     similarity = similarity_matrix(bank.prototypes, embeddings)
-    pairs = gate_assignment(hungarian(1.0 - similarity), similarity, params.tau_s).pairs
+    return kept, embeddings, similarity, hungarian(1.0 - similarity)
+
+
+def _commit(bank: MemoryBank, kept, embeddings, pairs, params: TrackerParams, frame: int) -> FrameResult:
+    """The half of step after the gate: absorb the pairs, age, prune and found, in place."""
+    mean_mode = params.ema_mode == "mean"
     rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
     if mean_mode:
         bank.sums[rows] += embeddings[cols]
@@ -170,8 +175,26 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     return FrameResult(frame, assignments, new_ids.tolist(), pruned)
 
 
+def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int) -> FrameResult:
+    """Advance the bank by one frame, in place.
+
+    Confidence-filtered detections are matched to prototypes by
+    minimum-cost assignment on (1 - similarity) and gated at tau_s.
+    Matched tracks absorb their detection (EMA or running mean, then
+    renormalized) and reset age to 0; every other track ages by one and
+    is pruned once age exceeds tau_a.  Unmatched detections, gated ones
+    included, then found new tracks in detection order.
+
+    Raises:
+        ValueError: on a mismatch of embedding dimension or of ema_mode.
+    """
+    kept, embeddings, similarity, solved = _propose(bank, detections, params)
+    pairs = gate_assignment(solved, similarity, params.tau_s).pairs
+    return _commit(bank, kept, embeddings, pairs, params, frame)
+
+
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:
-    """Run the tracker over frames in ascending index order.
+    """Run the tracker over frames in ascending index order: run_grid's one-row case.
 
     A frame key with an empty detection list still counts as an observed
     image: every track ages that frame.
@@ -179,13 +202,45 @@ def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -
     Raises:
         ValueError: step errors re-raised with the frame index prefixed.
     """
-    bank = MemoryBank()
-    results = []
+    return run_grid(frames, [params])[0]
+
+
+def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams]) -> list[list[FrameResult]]:
+    """run_sequence(frames, params) for each params of grid, in grid order.
+
+    Rows that differ only in tau_s (in mean mode, which never reads alpha,
+    also in alpha) start on one bank.  Each frame, a bank's proposal is
+    solved once and gated by each of its rows; rows whose gated pairs
+    differ go on with a copy of the bank each.  Rows on one bank share
+    their FrameResult objects.
+
+    Raises:
+        ValueError: step errors re-raised with the frame index prefixed.
+    """
+    groups: dict = {}
+    for i, params in enumerate(grid):
+        alpha = 0.0 if params.ema_mode == "mean" else params.alpha
+        groups.setdefault(replace(params, tau_s=0.0, alpha=alpha), []).append(i)
+    branches = [(MemoryBank(), rows) for rows in groups.values()]
+    results: list[list[FrameResult]] = [[] for _ in grid]
     for frame in sorted(frames):
+        forked = []
         try:
-            results.append(step(bank, frames[frame], params, frame))
+            for bank, rows in branches:
+                kept, embeddings, similarity, solved = _propose(bank, frames[frame], grid[rows[0]])
+                by_pairs: dict = {}
+                for i in rows:
+                    pairs = gate_assignment(solved, similarity, grid[i].tau_s).pairs
+                    by_pairs.setdefault(tuple(pairs), []).append(i)
+                banks = [bank] + [deepcopy(bank) for _ in range(len(by_pairs) - 1)]
+                for fork, (pairs, members) in zip(banks, by_pairs.items()):
+                    result = _commit(fork, kept, embeddings, pairs, grid[members[0]], frame)
+                    for i in members:
+                        results[i].append(result)
+                    forked.append((fork, members))
         except ValueError as err:
             raise ValueError(f"frame {frame}: {err}") from err
+        branches = forked
     return results
 
 

@@ -793,6 +793,9 @@ class TestSweep:
         assert exc.value.code == 2
 
 
+_TRIPLET_ARGS = ("--gt-corpus", "g.txt", "--strategy", "cross_plant_flexible", "--out", "t.txt")
+
+
 class TestParserContract:
     def test_no_subcommand_exits_two(self):
         with pytest.raises(SystemExit) as exc:
@@ -808,6 +811,27 @@ class TestParserContract:
         with pytest.raises(SystemExit) as exc:
             main(["track", "--out", "r.txt"])
         assert exc.value.code == 2
+
+    # A numeric flag reads its value by the rule a --params file uses; the
+    # message stays argparse's own.  No input file is read.
+    @pytest.mark.parametrize(
+        "argv, flag, kind, value",
+        [
+            (["eval", "--gt", "g.txt", "--results", "r.txt"], "--iou", "float", "\uff10.\uff15"),
+            (["eval", "--gt", "g.txt", "--results", "r.txt"], "--iou", "float", "0_5"),
+            (["sweep", "--detections", "d.txt", "--gt", "g.txt"], "--iou", "float", "\uff10.\uff15"),
+            (["triplets", *_TRIPLET_ARGS, "--count", "5"], "--seed", "int", "1_0"),
+            (["triplets", *_TRIPLET_ARGS, "--count", "5"], "--delta-t", "int", "\uff13"),
+            (["triplets", *_TRIPLET_ARGS], "--count", "int", "1_0"),
+            (["triplets", *_TRIPLET_ARGS], "--count", "int", " 10"),
+        ],
+    )
+    def test_numeric_flag_value_a_params_file_refuses_exits_two(self, capsys, argv, flag, kind, value):
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, flag, value])
+        assert exc.value.code == 2
+        message = f"error: argument {flag}: invalid {kind} value: {value!r}\n"
+        assert capsys.readouterr().err.endswith(message)
 
 
 _UNIT = st.floats(0.0, 1.0)

@@ -303,6 +303,24 @@ class TestSampleTriplets:
             assert t.negative.leaf_id != t.anchor.leaf_id
             assert abs(t.negative.t - t.anchor.t) <= 1
 
+    def test_window_admits_a_negative_exactly_delta_t_away(self):
+        # Leaf 2's only crop lies exactly delta_t from each of leaf 1's two
+        # anchors, so it is the one negative the window admits.
+        corpus = {0: {1: [0, 6], 2: [3]}}
+        strategy = SamplingStrategy(INTRA_PLANT_TEMPORAL_WINDOW, delta_t=3)
+        triplets = sample_triplets(corpus, strategy, 20, seed=0)
+        assert {t.negative for t in triplets} == {CropRef(0, 2, 3)}
+        assert {t.anchor.t for t in triplets} == {0, 6}
+
+    def test_leaf_seen_at_exactly_two_time_points_is_an_anchor(self):
+        corpus = {0: {1: [4, 9], 2: [4]}}
+        triplets = sample_triplets(corpus, SamplingStrategy(CROSS_PLANT_FLEXIBLE), 20, seed=0)
+        assert {(t.anchor, t.positive) for t in triplets} == {
+            (CropRef(0, 1, 4), CropRef(0, 1, 9)),
+            (CropRef(0, 1, 9), CropRef(0, 1, 4)),
+        }
+        assert {t.negative for t in triplets} == {CropRef(0, 2, 4)}
+
     def test_single_leaf_corpus_is_unsatisfiable_intra_plant(self):
         corpus = {0: {1: [1, 2, 3, 4, 5]}}
         with pytest.raises(ValueError, match="unsatisfiable triplet"):

@@ -303,6 +303,31 @@ class TestMatchRuns:
             expected = evaluate(gt, tracked_boxes(results), iou)
             assert repr(report_from_table(table)) == repr(expected)
 
+    def test_equal_runs_share_a_table_and_distinct_runs_get_their_own(self):
+        # Two boxes on two gt leaves in frames 1 and 2, clutter only in frame
+        # 3.  A frame mapped to [] and a frame left out both hold no
+        # prediction, so those runs are equal; swapped ids are not, nor are
+        # the same false alarms in another order.
+        gt = [g(f, leaf, u=30.0 * leaf) for f in (1, 2) for leaf in (1, 2)]
+        e = np.array([1.0, 0.0])
+        frames = {f: [Detection(BBox(30.0 * k, 0.0, 10.0, 10.0), 0.9, e) for k in (1, 2)] for f in (1, 2, 3)}
+        run = {1: [(1, 0), (2, 1)], 2: [(1, 0), (2, 1)]}
+        runs = [
+            run,
+            {**run, 3: []},
+            {**run, 2: [(2, 0), (1, 1)]},
+            {**run, 3: [(1, 0), (2, 1)]},
+            {**run, 3: [(2, 1), (1, 0)]},
+            dict(run),
+        ]
+        tables = list(match_runs(gt, frames, runs))
+        assert tables[1] is tables[0] and tables[5] is tables[0]
+        assert len({id(table) for table in tables}) == 4
+        for run, table in zip(runs, tables):
+            assert table == next(match_runs(gt, frames, [run]))
+        assert (tables[0].idtp, tables[2].idtp) == (4, 2)
+        assert (tables[3].false_alarms[3], tables[4].false_alarms[3]) == ([1, 2], [2, 1])
+
     def test_iou_is_computed_once_per_frame(self, monkeypatch):
         # Frame 1 has gt and detections, frame 2 gt only and no detection
         # list (a (1, 0) table), frame 3 clutter only.

@@ -403,6 +403,14 @@ class TestGenerate:
         assert all(row.frame < 18 for row in gt)
         assert det[18] == []
 
+    def test_leaf_is_gone_on_its_death_frame(self):
+        # Every leaf is born at frame 1 and, with death_prob 1 on a two-frame
+        # scene, dies at frame 2: it shows on frame 1 only.
+        cfg = ScenarioConfig(n_frames=2, n_leaves=3, death_prob=1.0, birth_window=0, seed=0)
+        gt, det, _ = generate(cfg)
+        assert [(row.frame, row.leaf_id) for row in gt] == [(1, 1), (1, 2), (1, 3)]
+        assert det[2] == []
+
     def test_false_positive_boxes_stay_inside_frame(self):
         cfg = clean_cfg(n_frames=25, fp_rate=2.0, frame_width=200, frame_height=160)
         gt, det, truth_map = generate(cfg)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from frond.embedding import normalize
 from frond.geometry import BBox
 from frond.simulator import ScenarioConfig, generate
-from frond.tracker import Detection, MemoryBank, TrackerParams, run_sequence, step, tracked_boxes
+from frond.tracker import Detection, MemoryBank, TrackerParams, run_grid, run_sequence, step, tracked_boxes
 from oracles import prototype_update
 
 
@@ -79,6 +79,37 @@ def frame_sequences(draw):
         for rows in draw(st.lists(frame, min_size=1, max_size=6))
     ]
     return frames, params
+
+
+@st.composite
+def grid_inputs(draw):
+    """Frames of detections keyed from 1, and a grid of params for them.
+
+    The tau_s values straddle the similarities the small-integer
+    embeddings make (0.5, 0.7071, 0.8, 0.8165 and the like); the few
+    tau_a values and mean mode, which ignores alpha, put rows in shared
+    groups.
+    """
+    frames, _ = draw(frame_sequences())
+    row = st.builds(
+        TrackerParams,
+        tau_s=st.sampled_from([-1.0, 0.0, 0.3, 0.5, 0.6, 0.7, 0.75, 0.8, 0.9, 1.0]),
+        tau_a=st.integers(1, 2),
+        alpha=st.sampled_from([0.0, 0.5, 1.0]),
+        ema_mode=st.sampled_from(["ema", "mean"]),
+    )
+    return dict(enumerate(frames, start=1)), draw(st.lists(row, min_size=1, max_size=8))
+
+
+# Frame 2's detection has similarity 0.6 to track 1: gates at 0.5 match it and
+# gates at 0.7 found track 2 instead, in either mode.
+FORKING_FRAMES = {1: [det(axis(2, 0))], 2: [det([0.6, 0.8])], 3: [det([0.6, 0.8])]}
+FORKING_GRID = [
+    TrackerParams(tau_s=0.5),
+    TrackerParams(tau_s=0.7),
+    TrackerParams(tau_s=0.5, alpha=0.2, ema_mode="mean"),
+    TrackerParams(tau_s=0.7, alpha=0.8, ema_mode="mean"),
+]
 
 
 class TestParams:
@@ -382,8 +413,9 @@ class TestStep:
         step(bank, [det(axis(4, 0))], TrackerParams(ema_mode=founded), 1)
         prototypes = bank.prototypes.copy()
         for frame in ([det(axis(4, 0))], []):
-            with pytest.raises(ValueError, match="mode mismatch"):
+            with pytest.raises(ValueError) as err:
                 step(bank, frame, TrackerParams(ema_mode=other), 2)
+            assert str(err.value) == f"mode mismatch: ema_mode is {other!r}, bank uses {founded!r}"
         assert np.array_equal(bank.prototypes, prototypes)
         assert bank.ages.tolist() == [0]
 
@@ -561,3 +593,40 @@ class TestRunSequence:
         frames = {1: [det(axis(2, 0), u=5.0)], 2: [det(axis(2, 0), u=6.0)]}
         rows = tracked_boxes(run_sequence(frames, TrackerParams()))
         assert [(r.frame, r.track_id, r.box.u) for r in rows] == [(1, 1, 5.0), (2, 1, 6.0)]
+
+
+class TestRunGrid:
+    @settings(max_examples=300, deadline=None)
+    @example(inputs=(FORKING_FRAMES, FORKING_GRID))
+    @given(grid_inputs())
+    def test_property_every_row_equals_run_sequence(self, inputs):
+        # The step loop is a reference that does not go through run_grid.
+        frames, grid = inputs
+        rows = run_grid(frames, grid)
+        assert len(rows) == len(grid)
+        for params, results in zip(grid, rows):
+            bank = MemoryBank()
+            stepped = [step(bank, frames[frame], params, frame) for frame in sorted(frames)]
+            assert results == run_sequence(frames, params) == stepped
+
+    def test_rows_fork_where_the_gate_splits_them(self):
+        loose, strict, loose_mean, strict_mean = run_grid(FORKING_FRAMES, FORKING_GRID)
+        for a, b in ((loose, strict), (loose_mean, strict_mean)):
+            assert a[0] is b[0]
+            assert [[tid for tid, _, _ in r.assignments] for r in (a[1], b[1])] == [[1], [2]]
+            assert [r.new_track_ids for r in (a[1], b[1])] == [[], [2]]
+            assert a[2].assignments[0][0] == 1 and b[2].assignments[0][0] == 2
+
+    def test_mean_rows_that_differ_only_in_alpha_share_every_result(self):
+        frames = dict(enumerate(([det(axis(3, k % 3), u=5.0 * k)] for k in range(6)), start=1))
+        grid = [TrackerParams(alpha=0.1, ema_mode="mean"), TrackerParams(alpha=0.9, ema_mode="mean")]
+        first, second = run_grid(frames, grid)
+        assert len(first) == 6 and all(a is b for a, b in zip(first, second))
+
+    def test_error_carries_frame_context(self):
+        frames = {1: [det(axis(4, 0))], 2: [det(axis(6, 0))]}
+        with pytest.raises(ValueError, match="^frame 2: dimension mismatch"):
+            run_grid(frames, [TrackerParams(), TrackerParams(tau_s=0.9)])
+
+    def test_empty_grid_runs_nothing(self):
+        assert run_grid({1: [det(axis(2, 0))]}, []) == []
