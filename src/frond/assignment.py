@@ -41,6 +41,7 @@ def hungarian(cost: np.ndarray) -> Assignment:
     pairs are produced and the surplus rows or columns appear in none of
     them.  The total cost is optimal and the result is
     deterministic: the same matrix always yields the same pairs.  A
+    square or wide matrix is solved with its rows as the lines; a
     matrix with more rows than columns is solved transposed.  Among
     several equally cheap optima, the one found is the one the shorter
     axis reaches in scan order: first each of its lines, in ascending
@@ -97,7 +98,6 @@ def _solve(cost: np.ndarray) -> list[int]:
             pending.append(i)
         else:
             match[j + 1] = i
-    rows = cost.tolist() if pending else []
     parent = [0] * (m + 1)
     for i in pending:
         match[0] = i
@@ -107,7 +107,7 @@ def _solve(cost: np.ndarray) -> list[int]:
         while True:
             used[j0] = True
             i0 = match[j0]
-            row = rows[i0 - 1]
+            row = cost[i0 - 1].tolist()
             delta = math.inf
             j1 = -1
             for j in range(1, m + 1):

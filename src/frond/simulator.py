@@ -203,7 +203,7 @@ def generate(cfg: ScenarioConfig):
             if cfg.miss_prob and rng.random() < cfg.miss_prob:
                 continue
             if cfg.box_jitter_std:
-                du, dv, dw, dh = rng.normal(0.0, cfg.box_jitter_std, 4)
+                du, dv, dw, dh = rng.normal(0.0, cfg.box_jitter_std, 4).tolist()
             else:
                 du = dv = dw = dh = 0.0
             observed = BBox(

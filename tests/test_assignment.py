@@ -114,6 +114,12 @@ class TestHungarian:
             result = hungarian(np.full(shape, 2.0))
             assert result.pairs == [(i, i) for i in range(min(shape))]
 
+    def test_square_matrix_is_solved_by_rows(self):
+        # Both pairings cost 2; the rows' scan keeps row 0 on its first
+        # cheapest column, where a transposed solve would give
+        # [(0, 1), (1, 0)].
+        assert hungarian(np.array([[2.0, 2.0], [0.0, 0.0]])).pairs == [(0, 0), (1, 1)]
+
     def test_deterministic_under_repeats(self):
         rng = np.random.default_rng(21)
         for _ in range(20):

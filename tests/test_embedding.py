@@ -169,6 +169,12 @@ class TestTripletMarginLoss:
         assert loss == 0.0
         assert not g_a.any() and not g_p.any() and not g_n.any()
 
+    def test_zero_on_the_hinge(self):
+        # |a - p|^2 - |a - n|^2 + margin = 0 - 0.25 + 0.25 = 0 exactly.
+        loss, grads = triplet_margin_loss([0.0, 0.0], [0.0, 0.0], [0.5, 0.0], margin=0.25)
+        assert loss == 0.0
+        assert all(not g.any() for g in grads)
+
     def test_active_gradients_formula(self):
         rng = np.random.default_rng(11)
         e_a = normalize(rng.normal(size=6))

@@ -22,6 +22,7 @@ from frond.metrics import (
     format_report,
     format_report_machine,
     leaf_accuracy_matrix,
+    match_by_iou,
     match_frames,
     match_runs,
     report_from_table,
@@ -228,6 +229,12 @@ class TestMatchFrames:
         pred = [p(1, 1), p(1, 2, u=1.0)]
         table = match_frames(gt, pred)
         assert {(a, b) for a, b, _ in table.matches[1]} == {(1, 1), (2, 2)}
+
+    def test_iou_exactly_at_threshold_counts_inside_a_component(self):
+        # Row 1 reaches column 1 only, so the 2 x 2 component is solved;
+        # the pair (0, 0) at exactly 0.5 is kept.
+        overlap = np.array([[0.5, 0.9], [0.0, 0.9]])
+        assert match_by_iou(overlap, 0.5) == [(0, 0), (1, 1)]
 
     def test_duplicate_gt_row_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
@@ -488,6 +495,17 @@ class TestIdf1:
 
     def test_empty_pred_is_zero(self):
         assert report_from_table(match_frames([g(1, 1)], [])).idf1 == 0.0
+
+    def test_bijection_holds_only_pairs_with_a_true_positive(self):
+        # Pair counts {(1, 10): 5, (2, 10): 1, (1, 11): 1}: the optimal
+        # assignment pairs gt 2 with pred 11 through a zero cell, which
+        # the bijection leaves out.
+        gt = [g(f, 1) for f in range(1, 7)] + [g(6, 2, u=100.0)]
+        pred = [p(f, 10) for f in range(1, 6)] + [p(6, 11), p(6, 10, u=100.0)]
+        table = match_frames(gt, pred)
+        assert table.pair_counts == {(1, 10): 5, (2, 10): 1, (1, 11): 1}
+        assert table.bijection == {1: 10}
+        assert table.idtp == 5
 
     def test_matches_exhaustive_bijection_search(self):
         rng = np.random.default_rng(61)

@@ -411,6 +411,14 @@ class TestGenerate:
         assert [(row.frame, row.leaf_id) for row in gt] == [(1, 1), (1, 2), (1, 3)]
         assert det[2] == []
 
+    def test_every_box_holds_python_floats(self):
+        cfg = clean_cfg(n_frames=6, box_jitter_std=1.0, fp_rate=2.0, seed=3)
+        gt, det, _ = generate(cfg)
+        boxes = [row.box for row in gt] + [d.box for rows in det.values() for d in rows]
+        assert boxes
+        for box in boxes:
+            assert all(type(x) is float for x in (box.u, box.v, box.w, box.h)), box
+
     def test_false_positive_boxes_stay_inside_frame(self):
         cfg = clean_cfg(n_frames=25, fp_rate=2.0, frame_width=200, frame_height=160)
         gt, det, truth_map = generate(cfg)
