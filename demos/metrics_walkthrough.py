@@ -6,27 +6,16 @@ where boxes are; AssA/IDF1 care about who they belong to; MOTA charges
 for everything.
 """
 
-from frond.geometry import BBox
-from frond.metrics import (
-    GtAnnotation,
-    daily_accuracy,
-    evaluate,
-    leaf_accuracy_matrix,
-    match_frames,
-)
-from frond.tracker import TrackedBox
+from frond.geometry import BBox, LeafBox
+from frond.metrics import daily_accuracy, evaluate, leaf_accuracy_matrix, match_frames
 
 
 def make_gt(n_frames=10, n_leaves=2):
     return [
-        GtAnnotation(f, leaf, BBox(120.0 * leaf, 0.0, 20.0, 20.0))
+        LeafBox(f, leaf, BBox(120.0 * leaf, 0.0, 20.0, 20.0))
         for f in range(1, n_frames + 1)
         for leaf in range(1, n_leaves + 1)
     ]
-
-
-def perfect_pred(gt):
-    return [TrackedBox(row.frame, row.leaf_id, row.box) for row in gt]
 
 
 def show(label, gt, pred):
@@ -38,25 +27,27 @@ def show(label, gt, pred):
 
 def main():
     gt = make_gt()
-    show("perfect", gt, perfect_pred(gt))
+    # A perfect tracker's rows are the ground truth itself: each track id
+    # is its leaf's id.
+    show("perfect", gt, gt)
 
     # Drop both leaves from frames 9 and 10: detection suffers, but
     # every box that remains still carries the right identity.
-    dropped = [p for p in perfect_pred(gt) if p.frame <= 8]
+    dropped = [p for p in gt if p.frame <= 8]
     show("missing last two frames", gt, dropped)
 
     # Swap identities halfway: every box is still in the right place
     # (DetA stays 1.0) but association is halved.
     swapped = [
-        TrackedBox(p.frame, p.track_id if p.frame <= 5 else 3 - p.track_id, p.box)
-        for p in perfect_pred(gt)
+        LeafBox(p.frame, p.leaf_id if p.frame <= 5 else 3 - p.leaf_id, p.box)
+        for p in gt
     ]
     show("ids swapped at frame 6", gt, swapped)
 
     # Pure clutter: false boxes nowhere near a leaf.  Only DetA and
     # MOTA notice; identity metrics ignore boxes that match nothing...
-    clutter = perfect_pred(gt) + [
-        TrackedBox(f, 50 + f, BBox(900.0, 900.0, 20.0, 20.0)) for f in range(1, 6)
+    clutter = gt + [
+        LeafBox(f, 50 + f, BBox(900.0, 900.0, 20.0, 20.0)) for f in range(1, 6)
     ]
     show("five spurious boxes", gt, clutter)
 
@@ -66,8 +57,8 @@ def main():
     # The per-leaf accuracy matrix grades each annotated (leaf, frame)
     # cell: identity must be right AND the box tight (IoU >= 0.75).
     loose = [
-        TrackedBox(p.frame, p.track_id,
-                   BBox(p.box.u, p.box.v + (3.0 if p.frame == 4 else 0.0), 20.0, 20.0))
+        LeafBox(p.frame, p.leaf_id,
+                BBox(p.box.u, p.box.v + (3.0 if p.frame == 4 else 0.0), 20.0, 20.0))
         for p in swapped
     ]
     matrix = leaf_accuracy_matrix(match_frames(gt, loose))

@@ -11,7 +11,7 @@ detection header and the key=value reader add it themselves, and the
 parse helpers say only what is wrong.
 Detections, ground truth and results share the frame,id,x,y,w,h columns,
 which one formatter writes; ground truth and results are read by one
-reader.
+reader into geometry.LeafBox rows, a result's track id as its leaf_id.
 """
 
 from __future__ import annotations
@@ -26,10 +26,10 @@ from typing import Iterable, Mapping, get_args, get_origin, get_type_hints
 import numpy as np
 
 from .embedding import CropRef, TripletSpec
-from .geometry import BBox
-from .metrics import CELL_ABSENT, CELL_CORRECT, CELL_FAILURE, GtAnnotation, LeafAccuracyMatrix
+from .geometry import BBox, LeafBox
+from .metrics import CELL_ABSENT, CELL_CORRECT, CELL_FAILURE, LeafAccuracyMatrix
 from .simulator import ScenarioConfig
-from .tracker import Detection, TrackedBox, TrackerParams
+from .tracker import Detection, TrackerParams
 
 _HEADER_RE = re.compile(r"#dim=([0-9]+)(?:;empty=([0-9]+(?:,[0-9]+)*))?")
 _GT_FIELDS = ("frame", "leaf id", "x", "y", "w", "h")
@@ -112,8 +112,8 @@ def _box_line(frame: int, row_id: int, box: BBox, tail: str = "") -> str:
     return f"{frame},{row_id},{_fmt(box.u)},{_fmt(box.v)},{_fmt(box.w)},{_fmt(box.h)}{tail}"
 
 
-def _read_boxes(path, names: tuple[str, ...], row) -> list:
-    """Read frame,id,x,y,w,h[,...] lines into row(frame, id, box) values.
+def _read_boxes(path, names: tuple[str, ...]) -> list[LeafBox]:
+    """Read frame,id,x,y,w,h[,...] lines into LeafBox(frame, id, box) rows.
 
     names[1] names the id column: ids start at 1 and (frame, id) must be
     unique.  Every float column is checked, extra ones too, before the box
@@ -130,7 +130,7 @@ def _read_boxes(path, names: tuple[str, ...], row) -> list:
         if (frame, row_id) in seen:
             raise ValueError(f"duplicate (frame, {what.replace(' ', '_')}) = ({frame}, {row_id})")
         seen.add((frame, row_id))
-        return row(frame, row_id, BBox(*_floats(fields[2:], names[2:])[:4]))
+        return LeafBox(frame, row_id, BBox(*_floats(fields[2:], names[2:])[:4]))
 
     return _rows(path, Path(path).read_text().splitlines(), names, parse)
 
@@ -269,12 +269,12 @@ def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | Non
 # ground truth: frame,leaf_id,x,y,w,h
 # ---------------------------------------------------------------------------
 
-def read_gt(path) -> list[GtAnnotation]:
+def read_gt(path) -> list[LeafBox]:
     """Read ground-truth annotations; leaf ids start at 1 and (frame, leaf_id) is unique."""
-    return _read_boxes(path, _GT_FIELDS, GtAnnotation)
+    return _read_boxes(path, _GT_FIELDS)
 
 
-def write_gt(annotations: Iterable[GtAnnotation], path) -> None:
+def write_gt(annotations: Iterable[LeafBox], path) -> None:
     rows = sorted(annotations, key=lambda r: (r.frame, r.leaf_id))
     _write_lines(path, [_box_line(r.frame, r.leaf_id, r.box) for r in rows])
 
@@ -283,19 +283,19 @@ def write_gt(annotations: Iterable[GtAnnotation], path) -> None:
 # results: frame,track_id,x,y,w,h,1.0  sorted by (frame, track_id)
 # ---------------------------------------------------------------------------
 
-def read_results(path) -> list[TrackedBox]:
-    """Read a tracker results file into evaluation rows.
+def read_results(path) -> list[LeafBox]:
+    """Read a tracker results file into evaluation rows, each track id as leaf_id.
 
     The seventh (confidence) column must be a finite float and is then
     ignored; `write_results` always writes it as `1.0`.
     """
-    return _read_boxes(path, _RESULT_FIELDS, TrackedBox)
+    return _read_boxes(path, _RESULT_FIELDS)
 
 
-def write_results(rows: Iterable[TrackedBox], path) -> None:
+def write_results(rows: Iterable[LeafBox], path) -> None:
     """Write evaluation rows, e.g. tracked_boxes(run_sequence(...)), as a results file."""
-    rows = sorted(rows, key=lambda r: (r.frame, r.track_id))
-    _write_lines(path, [_box_line(r.frame, r.track_id, r.box, ",1.0") for r in rows])
+    rows = sorted(rows, key=lambda r: (r.frame, r.leaf_id))
+    _write_lines(path, [_box_line(r.frame, r.leaf_id, r.box, ",1.0") for r in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Axis-aligned boxes and their overlap (IoU)."""
+"""Axis-aligned boxes, their overlap (IoU), and the identity-labeled box row."""
 
 from __future__ import annotations
 
@@ -46,6 +46,23 @@ class BBox:
             raise ValueError(
                 f"box corner area must be positive, got ({u2} - {self.u}) * ({v2} - {self.v})"
             )
+
+
+@dataclass(frozen=True)
+class LeafBox:
+    """One identity-labeled box in one frame, the row type of ground truth and tracker output.
+
+    leaf_id is the annotated leaf in ground truth and, in tracker output,
+    the track id: the tracker's claim about which leaf the box shows.
+    """
+
+    frame: int
+    leaf_id: int
+    box: BBox
+
+    def __post_init__(self):
+        if self.leaf_id < 1:
+            raise ValueError(f"leaf ids start at 1, got {self.leaf_id}")
 
 
 def _corners(boxes: Sequence[BBox]) -> np.ndarray:

@@ -6,7 +6,8 @@ with a ground-truth box at IoU >= iou_threshold.  match_runs builds that
 table for many tracker runs from one per-frame IoU matrix (match_frames is
 its one-run case), each with its counts, (gt, pred) pair counts and IDF1
 bijection; report_from_table reduces it to DetA, AssA, HOTA, MOTA, IDF1
-and ID switches.
+and ID switches.  Ground truth and predictions are both geometry.LeafBox
+rows; a prediction's leaf_id is its track id.
 """
 
 from __future__ import annotations
@@ -19,27 +20,13 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from .assignment import hungarian
-from .geometry import BBox, iou_matrix
-from .tracker import TrackedBox
+from .geometry import LeafBox, iou_matrix
 
 CELL_CORRECT = 1
 CELL_FAILURE = 0
 CELL_ABSENT = -1
 CELL_IOU_MIN = 0.75  # a correct leaf-matrix cell also needs this overlap
 IOU_THRESHOLD = 0.5  # default localization threshold of match_frames, evaluate and the CLI
-
-
-@dataclass(frozen=True)
-class GtAnnotation:
-    """Ground-truth box for one leaf in one frame."""
-
-    frame: int
-    leaf_id: int
-    box: BBox
-
-    def __post_init__(self):
-        if self.leaf_id < 1:
-            raise ValueError(f"leaf ids start at 1, got {self.leaf_id}")
 
 
 @dataclass(frozen=True)
@@ -128,12 +115,12 @@ def match_by_iou(overlap: np.ndarray, threshold: float) -> list[tuple[int, int]]
     return sorted(pairs)
 
 
-def _group_by_frame(rows: Iterable, id_field: str, side: str) -> dict:
-    """Rows grouped per frame in input order; a repeated (frame, id) raises."""
+def _group_by_frame(rows: Iterable[LeafBox], side: str) -> dict:
+    """Rows grouped per frame in input order; a repeated (frame, leaf_id) raises."""
     by_frame: dict = defaultdict(list)
     seen: set = set()
     for row in rows:
-        key = (row.frame, getattr(row, id_field))
+        key = (row.frame, row.leaf_id)
         if key in seen:
             raise ValueError(f"duplicate {side} id {key[1]} in frame {row.frame}")
         seen.add(key)
@@ -148,8 +135,8 @@ def check_iou_threshold(iou_threshold: float) -> None:
 
 
 def match_frames(
-    gt: Iterable[GtAnnotation],
-    pred: Iterable[TrackedBox],
+    gt: Iterable[LeafBox],
+    pred: Iterable[LeafBox],
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MatchTable:
     """Match ground truth against predictions frame by frame.
@@ -162,13 +149,13 @@ def match_frames(
         ValueError: on a duplicated (frame, id) on either side, or an
             iou_threshold outside (0, 1].
     """
-    pred_by_frame = _group_by_frame(pred, "track_id", "prediction")
-    run = {f: [(r.track_id, j) for j, r in enumerate(rows)] for f, rows in pred_by_frame.items()}
+    pred_by_frame = _group_by_frame(pred, "prediction")
+    run = {f: [(r.leaf_id, j) for j, r in enumerate(rows)] for f, rows in pred_by_frame.items()}
     return next(match_runs(gt, pred_by_frame, [run], iou_threshold))
 
 
 def match_runs(
-    gt: Iterable[GtAnnotation],
+    gt: Iterable[LeafBox],
     frames: Mapping[int, Sequence],
     runs: Iterable[Mapping[int, Sequence[tuple]]],
     iou_threshold: float = IOU_THRESHOLD,
@@ -188,7 +175,7 @@ def match_runs(
         ValueError: as match_frames does.
     """
     check_iou_threshold(iou_threshold)
-    gt_by_frame = _group_by_frame(gt, "leaf_id", "ground-truth")
+    gt_by_frame = _group_by_frame(gt, "ground-truth")
     overlaps = {}
     for frame in set(gt_by_frame) | set(frames):
         g_rows = gt_by_frame.get(frame, [])
@@ -316,8 +303,8 @@ def report_from_table(table: MatchTable) -> MetricReport:
 
 
 def evaluate(
-    gt: Iterable[GtAnnotation],
-    pred: Iterable[TrackedBox],
+    gt: Iterable[LeafBox],
+    pred: Iterable[LeafBox],
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MetricReport:
     """Match one sequence and compute every metric."""

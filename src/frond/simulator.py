@@ -12,8 +12,8 @@ from typing import Mapping
 import numpy as np
 
 from .embedding import normalize
-from .geometry import BBox, iou_matrix
-from .metrics import GtAnnotation, check_iou_threshold, match_by_iou
+from .geometry import BBox, LeafBox, iou_matrix
+from .metrics import check_iou_threshold, match_by_iou
 from .tracker import Detection, FrameResult
 
 # A clutter box's side is at least this fraction of the shorter frame side.
@@ -24,7 +24,7 @@ CLUTTER_MIN_SIDE = 0.03
 MAX_FRAME_SIDE = 10**9
 
 
-def logistic_area(area_max: float, rate: float, midpoint: float, frame: int) -> float:
+def _logistic_area(area_max: float, rate: float, midpoint: float, frame: int) -> float:
     """Leaf area on a logistic growth curve: area_max / (1 + exp(-rate * (frame - midpoint)))."""
     return area_max / (1.0 + math.exp(-rate * (frame - midpoint)))
 
@@ -162,10 +162,11 @@ def generate(cfg: ScenarioConfig):
     """Synthesize one sequence.
 
     Returns:
-        (gt, det, truth_map) where gt is a list of GtAnnotation, det maps
-        frame -> detection list (every frame key present, possibly
-        empty), and truth_map maps (frame, detection_index) -> leaf_id
-        for exactly the non-spurious detections.
+        (gt, det, truth_map) where gt lists one geometry.LeafBox per
+        visible leaf per frame, det maps frame -> detection list (every
+        frame key present, possibly empty), and truth_map maps
+        (frame, detection_index) -> leaf_id for exactly the non-spurious
+        detections.
     """
     rng = np.random.default_rng(cfg.seed)
     leaves = _build_leaves(cfg, rng)
@@ -177,7 +178,7 @@ def generate(cfg: ScenarioConfig):
 
     cx0 = cfg.frame_width / 2.0
     cy0 = cfg.frame_height / 2.0
-    gt: list[GtAnnotation] = []
+    gt: list[LeafBox] = []
     det: dict[int, list[Detection]] = {}
     truth_map: dict[tuple[int, int], int] = {}
     for frame in range(1, cfg.n_frames + 1):
@@ -193,12 +194,12 @@ def generate(cfg: ScenarioConfig):
                 continue
             if cfg.occlusion_prob and rng.random() < cfg.occlusion_prob:
                 continue
-            side = math.sqrt(logistic_area(leaf.area_max, leaf.rate, leaf.midpoint, frame))
+            side = math.sqrt(_logistic_area(leaf.area_max, leaf.rate, leaf.midpoint, frame))
             theta = leaf.angle + rotation
             cx = cx0 + leaf.radius * math.cos(theta)
             cy = cy0 + leaf.radius * math.sin(theta)
             box = BBox(cx - side / 2.0, cy - side / 2.0, side, side)
-            gt.append(GtAnnotation(frame, leaf.leaf_id, box))
+            gt.append(LeafBox(frame, leaf.leaf_id, box))
 
             if cfg.miss_prob and rng.random() < cfg.miss_prob:
                 continue

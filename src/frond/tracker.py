@@ -10,7 +10,6 @@ until their gate decisions differ.
 
 from __future__ import annotations
 
-import math
 from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
@@ -19,7 +18,7 @@ import numpy as np
 
 from .assignment import gate_assignment, hungarian, similarity_matrix
 from .embedding import normalize, normalize_rows
-from .geometry import BBox
+from .geometry import BBox, LeafBox
 
 EMA_MODES = ("ema", "mean")
 
@@ -53,7 +52,7 @@ class TrackerParams:
     def __post_init__(self):
         if not -1.0 <= self.tau_s <= 1.0:
             raise ValueError(f"tau_s must lie in [-1, 1], got {self.tau_s}")
-        if not (math.isfinite(self.tau_a) and self.tau_a >= 0 and int(self.tau_a) == self.tau_a):
+        if not (self.tau_a >= 0 and self.tau_a % 1 == 0):
             raise ValueError(f"tau_a must be a non-negative integer, got {self.tau_a}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in [0, 1], got {self.alpha}")
@@ -100,15 +99,6 @@ class FrameResult:
     assignments: list[tuple[int, int, BBox]]
     new_track_ids: list[int]
     pruned_track_ids: list[int]
-
-
-@dataclass(frozen=True)
-class TrackedBox:
-    """One identity-labeled box, the row type consumed by evaluation."""
-
-    frame: int
-    track_id: int
-    box: BBox
 
 
 def _propose(bank: MemoryBank, detections: list[Detection], params: TrackerParams):
@@ -244,12 +234,12 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
     return results
 
 
-def tracked_boxes(results: Iterable[FrameResult]) -> list[TrackedBox]:
-    """Flatten frame results into evaluation rows sorted by (frame, id)."""
+def tracked_boxes(results: Iterable[FrameResult]) -> list[LeafBox]:
+    """Flatten frame results into evaluation rows, each track id as leaf_id, sorted by (frame, id)."""
     rows = [
-        TrackedBox(res.frame, track_id, box)
+        LeafBox(res.frame, track_id, box)
         for res in results
         for track_id, _, box in res.assignments
     ]
-    rows.sort(key=lambda r: (r.frame, r.track_id))
+    rows.sort(key=lambda r: (r.frame, r.leaf_id))
     return rows

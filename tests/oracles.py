@@ -80,7 +80,7 @@ def match_counts(gt, pred, thr=0.5):
         g_rows = gt_by_frame.get(frame, [])
         p_rows = pred_by_frame.get(frame, [])
         pairs = _best_frame_matching(g_rows, p_rows, thr)
-        tp_pairs[frame] = [(g_rows[i].leaf_id, p_rows[j].track_id) for i, j in pairs]
+        tp_pairs[frame] = [(g_rows[i].leaf_id, p_rows[j].leaf_id) for i, j in pairs]
         fn += len(g_rows) - len(pairs)
         fp += len(p_rows) - len(pairs)
     return tp_pairs, fn, fp

@@ -29,10 +29,10 @@ from frond.fileio import (
     write_results,
     write_truth_map,
 )
-from frond.geometry import BBox
-from frond.metrics import GtAnnotation, evaluate
+from frond.geometry import BBox, LeafBox
+from frond.metrics import evaluate
 from frond.simulator import ScenarioConfig, baseline_iou_tracker, generate
-from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
 from oracles import brute_idf1, brute_mota, min_assignment_total
 
 
@@ -55,21 +55,21 @@ def _pairs_are_a_matching(pairs, shape):
 def _tracking_fixtures():
     """Hand-built gt/pred pairs with pinned metric values."""
     box = lambda u=0.0: BBox(u, 0.0, 10.0, 10.0)
-    gt10 = [GtAnnotation(f, 1, box()) for f in range(1, 11)]
+    gt10 = [LeafBox(f, 1, box()) for f in range(1, 11)]
 
-    deta_gt = [GtAnnotation(f, 1, box()) for f in range(1, 10)]
-    deta_pred = [TrackedBox(f, 1, box()) for f in range(1, 9)]
-    deta_pred.append(TrackedBox(9, 1, box(500.0)))
+    deta_gt = [LeafBox(f, 1, box()) for f in range(1, 10)]
+    deta_pred = [LeafBox(f, 1, box()) for f in range(1, 9)]
+    deta_pred.append(LeafBox(9, 1, box(500.0)))
 
-    mota_pred = [TrackedBox(f, 1, box()) for f in range(1, 5)]
-    mota_pred.append(TrackedBox(5, 9, BBox(400.0, 400.0, 10.0, 10.0)))
-    mota_pred += [TrackedBox(f, 2, box()) for f in range(6, 11)]
+    mota_pred = [LeafBox(f, 1, box()) for f in range(1, 5)]
+    mota_pred.append(LeafBox(5, 9, BBox(400.0, 400.0, 10.0, 10.0)))
+    mota_pred += [LeafBox(f, 2, box()) for f in range(6, 11)]
 
-    idf1_pred = [TrackedBox(f, 1, box()) for f in range(1, 6)]
-    idf1_pred += [TrackedBox(f, 2, box()) for f in range(6, 11)]
+    idf1_pred = [LeafBox(f, 1, box()) for f in range(1, 6)]
+    idf1_pred += [LeafBox(f, 2, box()) for f in range(6, 11)]
 
-    assa_pred = [TrackedBox(f, 1, box()) for f in range(1, 9)]
-    assa_pred += [TrackedBox(f, 2, box()) for f in (9, 10)]
+    assa_pred = [LeafBox(f, 1, box()) for f in range(1, 9)]
+    assa_pred += [LeafBox(f, 2, box()) for f in (9, 10)]
 
     return (deta_gt, deta_pred), (gt10, mota_pred), (gt10, idf1_pred), (gt10, assa_pred)
 
@@ -86,7 +86,7 @@ def _random_tracking_scene(rng):
             if rng.uniform() < 0.15:
                 continue
             box = BBox(150.0 * obj + rng.uniform(-1, 1), rng.uniform(-1, 1), 20.0, 20.0)
-            gt.append(GtAnnotation(f, obj, box))
+            gt.append(LeafBox(f, obj, box))
             if rng.uniform() < 0.2:
                 continue
             tid = obj if rng.uniform() < 0.75 else int(rng.integers(1, n_objects + 3))
@@ -94,10 +94,10 @@ def _random_tracking_scene(rng):
                 continue
             used.add(tid)
             du, dv = rng.uniform(-8, 8, size=2)
-            pred.append(TrackedBox(f, tid, BBox(box.u + du, box.v + dv, 20.0, 20.0)))
+            pred.append(LeafBox(f, tid, BBox(box.u + du, box.v + dv, 20.0, 20.0)))
         for _ in range(int(rng.integers(0, 2))):
             fake += 1
-            pred.append(TrackedBox(f, fake, BBox(4000.0 + rng.uniform(0, 500), 0.0, 20.0, 20.0)))
+            pred.append(LeafBox(f, fake, BBox(4000.0 + rng.uniform(0, 500), 0.0, 20.0, 20.0)))
     return gt, pred
 
 

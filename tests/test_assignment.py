@@ -1,4 +1,4 @@
-"""Hungarian solver correctness, determinism, and gating behavior."""
+"""Similarity matrix, Hungarian solver correctness, determinism, and gating behavior."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from frond.assignment import Assignment, gate_assignment, hungarian, similarity_matrix
+from frond.embedding import normalize
 
 from oracles import min_assignment_total
 
@@ -39,9 +40,21 @@ class TestSimilarityMatrix:
         assert s.shape == (2, 1)
         assert s[0, 0] == pytest.approx(np.sqrt(0.5), abs=1e-12)
 
+    def test_forty_five_degrees(self):
+        a = np.array([[1.0, 0.0]])
+        b = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
+        assert similarity_matrix(a, b)[0, 0] == pytest.approx(0.707107, abs=1e-6)
+
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
             similarity_matrix(np.zeros((2, 3)), np.zeros((2, 4)))
+
+    def test_unit_vectors_stay_in_range(self):
+        rng = np.random.default_rng(7)
+        a = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
+        b = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
+        s = similarity_matrix(a, b)
+        assert np.all((-1.0 - 1e-9 <= s) & (s <= 1.0 + 1e-9))
 
     @pytest.mark.parametrize(
         "prototypes, embeddings",

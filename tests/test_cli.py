@@ -25,10 +25,10 @@ from frond.fileio import (
     write_gt,
     write_results,
 )
-from frond.geometry import BBox
-from frond.metrics import GtAnnotation, evaluate, format_report_machine
+from frond.geometry import BBox, LeafBox
+from frond.metrics import evaluate, format_report_machine
 from frond.simulator import MAX_FRAME_SIDE, ScenarioConfig, generate
-from frond.tracker import TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from frond.tracker import TrackerParams, run_sequence, tracked_boxes
 from test_fileio import _config_text, tracker_params
 
 CLEAN_SCENARIO = (
@@ -43,7 +43,7 @@ CLEAN_SCENARIO = (
 
 def write_plant_gt(path, n_leaves=3, n_frames=8, origin=0.0):
     rows = [
-        GtAnnotation(f, leaf, BBox(origin + 40.0 * leaf, 10.0, 12.0, 12.0))
+        LeafBox(f, leaf, BBox(origin + 40.0 * leaf, 10.0, 12.0, 12.0))
         for f in range(1, n_frames + 1)
         for leaf in range(1, n_leaves + 1)
     ]
@@ -142,6 +142,20 @@ class TestTrack:
         assert code == 0
         assert "tracks created: 0" in capsys.readouterr().out
         assert read_results(results) == []
+
+    def test_tau_a_beyond_float_range_tracks_like_a_large_one(self, pipeline, tmp_path, capsys, recwarn):
+        # A 400-digit tau_a is a non-negative integer too large for a float.
+        out_dir, _ = pipeline
+        outputs = []
+        for k, tau_a in enumerate((10**400, 10**9)):
+            params = tmp_path / f"params{k}.cfg"
+            params.write_text(f"tau_a={tau_a}\n")
+            results = tmp_path / f"results{k}.txt"
+            argv = ["track", "--detections", str(out_dir / "det.txt"), "--params", str(params), "--out", str(results)]
+            assert main(argv) == 0
+            outputs.append((results.read_bytes(), capsys.readouterr()))
+        assert outputs[0] == outputs[1]
+        assert [str(w.message) for w in recwarn] == []
 
     def test_malformed_detections_is_data_error(self, tmp_path, capsys):
         bad = tmp_path / "det.txt"
@@ -277,7 +291,7 @@ class TestEval:
         gt = tmp_path / "gt.txt"
         write_plant_gt(gt)
         res = tmp_path / "res.txt"
-        write_results([TrackedBox(r.frame, r.leaf_id, r.box) for r in read_gt(gt)], res)
+        write_results(read_gt(gt), res)
         solves = []
 
         def counted(cost):

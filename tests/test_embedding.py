@@ -1,11 +1,10 @@
-"""Normalization, cosine similarity, triplet loss, and triplet sampling."""
+"""Normalization, triplet loss, and triplet sampling."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from frond.assignment import similarity_matrix
 from frond.embedding import (
     CROSS_PLANT_FLEXIBLE,
     INTRA_PLANT_FULL_CYCLE,
@@ -25,6 +24,9 @@ class TestNormalize:
     def test_three_four_becomes_unit(self):
         out = normalize(np.array([3.0, 4.0]))
         assert out == pytest.approx([0.6, 0.8], abs=1e-12)
+
+    def test_one_component_vector_becomes_its_sign(self):
+        assert normalize(np.array([-3.0])).tolist() == [-1.0]
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError, match="zero"):
@@ -130,26 +132,6 @@ class TestNormalizeRows:
         block = np.array([[3.0, 4.0], [1.0, 0.0]])
         normalize_rows(block)
         assert block.tolist() == [[3.0, 4.0], [1.0, 0.0]]
-
-
-class TestCosineSimilarity:
-    """Cosine similarity of unit embeddings, as the tracker computes it."""
-
-    def test_forty_five_degrees(self):
-        a = np.array([[1.0, 0.0]])
-        b = np.array([[np.sqrt(0.5), np.sqrt(0.5)]])
-        assert similarity_matrix(a, b)[0, 0] == pytest.approx(0.707107, abs=1e-6)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension mismatch"):
-            similarity_matrix(np.zeros((1, 3)), np.zeros((1, 4)))
-
-    def test_unit_vectors_stay_in_range(self):
-        rng = np.random.default_rng(7)
-        a = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
-        b = np.stack([normalize(rng.normal(size=12)) for _ in range(200)])
-        s = similarity_matrix(a, b)
-        assert np.all((-1.0 - 1e-9 <= s) & (s <= 1.0 + 1e-9))
 
 
 class TestTripletMarginLoss:

@@ -25,10 +25,10 @@ from frond.fileio import (
     write_triplets,
     write_truth_map,
 )
-from frond.geometry import BBox
-from frond.metrics import GtAnnotation, leaf_accuracy_matrix, match_frames
+from frond.geometry import BBox, LeafBox
+from frond.metrics import leaf_accuracy_matrix, match_frames
 from frond.simulator import CLUTTER_MIN_SIDE, ScenarioConfig
-from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
 from test_geometry import accepted_boxes
 
 
@@ -159,6 +159,13 @@ class TestDetectionsFile:
         path = tmp_path / "det.txt"
         got = error_message(read_detections, path, "#dim=0\n")
         assert got == f"{path}:1: embedding dimension must be at least 1"
+
+    def test_width_one_file_reads_with_its_sidecar(self, tmp_path):
+        path = tmp_path / "det.txt"
+        write_detection_pair(path, "#dim=1\n1,-1,0.0,0.0,5.0,5.0,0.9,-3.0\n", dim=1)
+        assert np.load(tmp_path / "det.npy").shape == (1, 1)
+        (detection,) = read_detections(path)[1]
+        assert detection.embedding.tolist() == [-1.0]
 
     def test_field_count_names_line(self, tmp_path):
         path = tmp_path / "det.txt"
@@ -434,9 +441,9 @@ class TestDetectionsRoundTripTracks:
 class TestGtFile:
     def test_round_trip_and_sorting(self, tmp_path):
         rows = [
-            GtAnnotation(2, 1, BBox(1.5, 2.25, 8.0, 9.0)),
-            GtAnnotation(1, 2, BBox(0.1, 0.2, 3.0, 4.0)),
-            GtAnnotation(1, 1, BBox(5.0, 6.0, 7.0, 8.0)),
+            LeafBox(2, 1, BBox(1.5, 2.25, 8.0, 9.0)),
+            LeafBox(1, 2, BBox(0.1, 0.2, 3.0, 4.0)),
+            LeafBox(1, 1, BBox(5.0, 6.0, 7.0, 8.0)),
         ]
         path = tmp_path / "gt.txt"
         write_gt(rows, path)
@@ -505,23 +512,23 @@ class TestGtFile:
 class TestResultsFile:
     def test_round_trip(self, tmp_path):
         rows = [
-            TrackedBox(1, 2, BBox(0.25, 0.5, 10.0, 12.0)),
-            TrackedBox(1, 1, BBox(30.0, 0.5, 10.0, 12.0)),
-            TrackedBox(2, 1, BBox(30.5, 0.75, 10.0, 12.0)),
+            LeafBox(1, 2, BBox(0.25, 0.5, 10.0, 12.0)),
+            LeafBox(1, 1, BBox(30.0, 0.5, 10.0, 12.0)),
+            LeafBox(2, 1, BBox(30.5, 0.75, 10.0, 12.0)),
         ]
         path = tmp_path / "res.txt"
         write_results(rows, path)
-        assert read_results(path) == sorted(rows, key=lambda r: (r.frame, r.track_id))
+        assert read_results(path) == sorted(rows, key=lambda r: (r.frame, r.leaf_id))
 
     def test_confidence_column_is_literal_one(self, tmp_path):
         path = tmp_path / "res.txt"
-        write_results([TrackedBox(1, 1, BBox(0, 0, 5, 5))], path)
+        write_results([LeafBox(1, 1, BBox(0, 0, 5, 5))], path)
         assert path.read_text() == "1,1,0.0,0.0,5.0,5.0,1.0\n"
 
     def test_confidence_column_is_ignored_on_read(self, tmp_path):
         path = tmp_path / "res.txt"
         path.write_text("1,1,0.0,0.0,5.0,5.0,-7.5\n")
-        assert read_results(path) == [TrackedBox(1, 1, BBox(0.0, 0.0, 5.0, 5.0))]
+        assert read_results(path) == [LeafBox(1, 1, BBox(0.0, 0.0, 5.0, 5.0))]
 
     def test_tracked_boxes_of_a_run_write_the_hand_built_bytes(self, tmp_path):
         e = np.zeros(4)
@@ -535,7 +542,7 @@ class TestResultsFile:
         path_b = tmp_path / "b.txt"
         write_results(tracked_boxes(results), path_a)
         write_results(
-            [TrackedBox(1, 1, BBox(0, 0, 10, 10)), TrackedBox(2, 1, BBox(1, 0, 10, 10))],
+            [LeafBox(1, 1, BBox(0, 0, 10, 10)), LeafBox(2, 1, BBox(1, 0, 10, 10))],
             path_b,
         )
         assert path_a.read_bytes() == path_b.read_bytes()
@@ -600,8 +607,8 @@ class TestBoxColumns:
         st.floats(0.0, 1.0),
     )
     def test_every_format_writes_the_same_box_columns(self, tmp_path, frame, row_id, box, conf):
-        write_gt([GtAnnotation(frame, row_id, box)], tmp_path / "gt.txt")
-        write_results([TrackedBox(frame, row_id, box)], tmp_path / "res.txt")
+        write_gt([LeafBox(frame, row_id, box)], tmp_path / "gt.txt")
+        write_results([LeafBox(frame, row_id, box)], tmp_path / "res.txt")
         write_detections({frame: [Detection(box, conf, np.ones(2))]}, tmp_path / "det.txt")
 
         def fields(name, index=0):
@@ -968,14 +975,14 @@ class TestConfigRoundTrip:
 class TestLeafMatrixCsv:
     def test_exact_text(self, tmp_path):
         gt = [
-            GtAnnotation(1, 1, BBox(0, 0, 10, 10)),
-            GtAnnotation(2, 1, BBox(0, 0, 10, 10)),
-            GtAnnotation(1, 2, BBox(100, 0, 10, 10)),
+            LeafBox(1, 1, BBox(0, 0, 10, 10)),
+            LeafBox(2, 1, BBox(0, 0, 10, 10)),
+            LeafBox(1, 2, BBox(100, 0, 10, 10)),
         ]
         pred = [
-            TrackedBox(1, 1, BBox(0, 0, 10, 10)),
-            TrackedBox(2, 1, BBox(0, 2, 10, 10)),
-            TrackedBox(1, 2, BBox(100, 0, 10, 10)),
+            LeafBox(1, 1, BBox(0, 0, 10, 10)),
+            LeafBox(2, 1, BBox(0, 2, 10, 10)),
+            LeafBox(1, 2, BBox(100, 0, 10, 10)),
         ]
         path = tmp_path / "matrix.csv"
         write_leaf_matrix_csv(leaf_accuracy_matrix(match_frames(gt, pred)), path)
@@ -997,5 +1004,5 @@ class TestWriteDiscipline:
 
     def test_floats_use_shortest_repr(self, tmp_path):
         path = tmp_path / "gt.txt"
-        write_gt([GtAnnotation(1, 1, BBox(0.1, 0.25, 10.0, 7.5))], path)
+        write_gt([LeafBox(1, 1, BBox(0.1, 0.25, 10.0, 7.5))], path)
         assert path.read_text() == "1,1,0.1,0.25,10.0,7.5\n"

@@ -11,12 +11,11 @@ import frond.metrics
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from frond.geometry import BBox
+from frond.geometry import BBox, LeafBox
 from frond.metrics import (
     CELL_ABSENT,
     CELL_CORRECT,
     CELL_FAILURE,
-    GtAnnotation,
     daily_accuracy,
     evaluate,
     format_report,
@@ -27,16 +26,16 @@ from frond.metrics import (
     match_runs,
     report_from_table,
 )
-from frond.tracker import Detection, TrackedBox, TrackerParams, run_sequence, tracked_boxes
+from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
 from oracles import _best_frame_matching, _iou, brute_idf1, brute_mota, match_counts
 
 
 def g(frame, leaf, u=0.0, v=0.0, w=10.0, h=10.0):
-    return GtAnnotation(frame, leaf, BBox(u, v, w, h))
+    return LeafBox(frame, leaf, BBox(u, v, w, h))
 
 
 def p(frame, tid, u=0.0, v=0.0, w=10.0, h=10.0):
-    return TrackedBox(frame, tid, BBox(u, v, w, h))
+    return LeafBox(frame, tid, BBox(u, v, w, h))
 
 
 def perfect(n_frames, n_objects, id_of=lambda leaf: leaf):
@@ -59,7 +58,7 @@ def random_scene(rng, n_frames=6, n_objects=3):
             if rng.uniform() < 0.15:
                 continue
             box = BBox(120.0 * leaf + rng.uniform(-1, 1), rng.uniform(-1, 1), 20.0, 20.0)
-            gt.append(GtAnnotation(f, leaf, box))
+            gt.append(LeafBox(f, leaf, box))
             if rng.uniform() < 0.2:
                 continue
             du, dv = rng.uniform(-6, 6, size=2)
@@ -67,7 +66,7 @@ def random_scene(rng, n_frames=6, n_objects=3):
             if tid in used_ids:
                 continue
             used_ids.add(tid)
-            pred.append(TrackedBox(f, tid, BBox(box.u + du, box.v + dv, 20.0, 20.0)))
+            pred.append(LeafBox(f, tid, BBox(box.u + du, box.v + dv, 20.0, 20.0)))
         for _ in range(int(rng.integers(0, 2))):
             next_fake += 1
             pred.append(p(f, next_fake, u=3000.0 + rng.uniform(0, 500), v=0.0))
@@ -91,12 +90,12 @@ def clustered_scene(rng, n_frames=4):
             for u in lefts:
                 leaf += 1
                 box = BBox(u, rng.uniform(-2, 2), *rng.uniform(18.0, 22.0, size=2))
-                gt.append(GtAnnotation(f, leaf, box))
+                gt.append(LeafBox(f, leaf, box))
             n_pred = int(rng.integers(1, most + 1))
             for u in rng.uniform(lefts[0] - 4.0, lefts[-1] + 4.0, size=n_pred):
                 tid += 1
                 box = BBox(u, rng.uniform(-2, 2), *rng.uniform(18.0, 22.0, size=2))
-                pred.append(TrackedBox(f, tid, box))
+                pred.append(LeafBox(f, tid, box))
     return gt, pred
 
 
@@ -394,7 +393,7 @@ class TestDetA:
 
     def test_invariant_under_id_relabeling(self):
         gt, pred = perfect(6, 2)
-        shuffled = [TrackedBox(r.frame, r.track_id + 40, r.box) for r in pred]
+        shuffled = [LeafBox(r.frame, r.leaf_id + 40, r.box) for r in pred]
         deta = report_from_table(match_frames(gt, pred)).deta
         assert report_from_table(match_frames(gt, shuffled)).deta == deta
 

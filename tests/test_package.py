@@ -10,8 +10,10 @@ from pathlib import Path
 import frond
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-# Names frond no longer exports: each had no caller in the CLI, the
-# benchmark, the demos or the acceptance tests.
+# Names frond no longer exports.  Most had no caller in the CLI, the
+# benchmark, the demos or the acceptance tests.  GtAnnotation and TrackedBox
+# held the same (frame, id, box) row and merged into geometry.LeafBox;
+# logistic_area, called only by generate, is now private to the simulator.
 DELETED_NAMES = (
     "init_bank",
     "cosine_similarity",
@@ -27,6 +29,9 @@ DELETED_NAMES = (
     "ass_a",
     "id_switches",
     "Track",
+    "GtAnnotation",
+    "TrackedBox",
+    "logistic_area",
 )
 # Names the package once re-exported, by the module that defines them; each
 # is now imported from that module only.
@@ -63,7 +68,6 @@ FORMER_EXPORTS = {
         "CELL_ABSENT",
         "CELL_CORRECT",
         "CELL_FAILURE",
-        "GtAnnotation",
         "LeafAccuracyMatrix",
         "MatchTable",
         "MetricReport",
@@ -75,12 +79,11 @@ FORMER_EXPORTS = {
         "match_frames",
         "report_from_table",
     ),
-    "simulator": ("ScenarioConfig", "baseline_iou_tracker", "generate", "logistic_area"),
+    "simulator": ("ScenarioConfig", "baseline_iou_tracker", "generate"),
     "tracker": (
         "Detection",
         "FrameResult",
         "MemoryBank",
-        "TrackedBox",
         "TrackerParams",
         "run_sequence",
         "step",
@@ -119,6 +122,11 @@ def run_python(code: str, **env_overrides: str) -> str:
 def test_import_frond_loads_no_numpy():
     out = run_python("import sys, frond; print(sorted(m for m in sys.modules if m.startswith(('numpy', 'frond'))))")
     assert out == "['frond']\n"
+
+
+def test_metrics_loads_neither_tracker_nor_embedding():
+    out = run_python("import sys, frond.metrics; print(sorted(m for m in sys.modules if m.startswith('frond')))")
+    assert out == "['frond', 'frond.assignment', 'frond.geometry', 'frond.metrics']\n"
 
 
 def test_cli_pins_blas_before_numpy_loads():

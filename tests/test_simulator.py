@@ -12,9 +12,9 @@ from frond.simulator import (
     CLUTTER_MIN_SIDE,
     MAX_FRAME_SIDE,
     ScenarioConfig,
+    _logistic_area,
     baseline_iou_tracker,
     generate,
-    logistic_area,
 )
 from frond.tracker import Detection
 
@@ -32,12 +32,12 @@ def gt_boxes_by_key(gt):
 class TestLogisticArea:
     def test_reference_value(self):
         # 400 / (1 + exp(-0.5 * 2)), evaluated separately and pinned.
-        assert logistic_area(400.0, 0.5, 10.0, 12) == pytest.approx(
+        assert _logistic_area(400.0, 0.5, 10.0, 12) == pytest.approx(
             292.4234314520019, abs=1e-9
         )
 
     def test_midpoint_is_half_capacity(self):
-        assert logistic_area(300.0, 0.3, 8.0, 8) == 150.0
+        assert _logistic_area(300.0, 0.3, 8.0, 8) == 150.0
 
     def test_monotone_growth(self):
         rng = np.random.default_rng(11)
@@ -45,12 +45,12 @@ class TestLogisticArea:
             area_max = rng.uniform(100.0, 4000.0)
             rate = rng.uniform(0.05, 1.0)
             midpoint = rng.uniform(2.0, 20.0)
-            values = [logistic_area(area_max, rate, midpoint, f) for f in range(1, 30)]
+            values = [_logistic_area(area_max, rate, midpoint, f) for f in range(1, 30)]
             assert all(a < b for a, b in zip(values, values[1:]))
             assert values[-1] < area_max
 
     def test_saturates_at_capacity(self):
-        assert logistic_area(500.0, 0.5, 10.0, 200) == pytest.approx(500.0, abs=1e-9)
+        assert _logistic_area(500.0, 0.5, 10.0, 200) == pytest.approx(500.0, abs=1e-9)
 
 
 # Every refused config with its exact message, pinning which check reports it.

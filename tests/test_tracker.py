@@ -173,7 +173,9 @@ class TestDetection:
         assert str(err.value) == f"confidence must lie in [0, 1], got {conf!r}"
 
 
-class TestInitBank:
+class TestFirstStep:
+    """The first step on an empty bank: every kept detection founds a track."""
+
     def test_confidence_filter(self):
         params = TrackerParams()
         bank = MemoryBank()
@@ -592,7 +594,7 @@ class TestRunSequence:
     def test_tracked_boxes_flattening(self):
         frames = {1: [det(axis(2, 0), u=5.0)], 2: [det(axis(2, 0), u=6.0)]}
         rows = tracked_boxes(run_sequence(frames, TrackerParams()))
-        assert [(r.frame, r.track_id, r.box.u) for r in rows] == [(1, 1, 5.0), (2, 1, 6.0)]
+        assert [(r.frame, r.leaf_id, r.box.u) for r in rows] == [(1, 1, 5.0), (2, 1, 6.0)]
 
 
 class TestRunGrid:
