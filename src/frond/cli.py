@@ -154,7 +154,7 @@ def _cmd_sweep(args) -> int:
             scores[id(table)] = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
         lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores[id(table)]]))
     if args.out is not None:
-        fileio._write_lines(args.out, lines)
+        fileio.write_lines(args.out, lines)
     else:
         print("\n".join(lines))
     return 0

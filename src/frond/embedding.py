@@ -198,7 +198,7 @@ def sample_triplets(
     rng = np.random.default_rng(seed)
     triplets = []
     for _ in range(count):
-        for attempt in range(_RETRY_LIMIT):
+        for _ in range(_RETRY_LIMIT):
             a_plant, a_leaf, a_t = anchors[int(rng.integers(len(anchors)))]
             pos_times = [t for t in times_by_leaf[(a_plant, a_leaf)] if t != a_t]
             p_t = pos_times[int(rng.integers(len(pos_times)))]

@@ -135,7 +135,7 @@ def _read_boxes(path, names: tuple[str, ...]) -> list[LeafBox]:
     return _rows(path, Path(path).read_text().splitlines(), names, parse)
 
 
-def _write_lines(path, lines: list[str]) -> None:
+def write_lines(path, lines: list[str]) -> None:
     with open(path, "w", newline="\n") as handle:
         handle.write("\n".join(lines) + "\n" if lines else "")
 
@@ -260,7 +260,7 @@ def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | Non
         for det in frames[frame]:
             lines.append(_box_line(frame, -1, det.box, f",{_fmt(det.confidence)}"))
             embeddings.append(det.embedding)
-    _write_lines(path, lines)
+    write_lines(path, lines)
     array = np.array(embeddings, dtype=np.float64).reshape(len(embeddings), dim)
     np.save(sidecar, array, allow_pickle=False)
 
@@ -276,7 +276,7 @@ def read_gt(path) -> list[LeafBox]:
 
 def write_gt(annotations: Iterable[LeafBox], path) -> None:
     rows = sorted(annotations, key=lambda r: (r.frame, r.leaf_id))
-    _write_lines(path, [_box_line(r.frame, r.leaf_id, r.box) for r in rows])
+    write_lines(path, [_box_line(r.frame, r.leaf_id, r.box) for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -295,7 +295,7 @@ def read_results(path) -> list[LeafBox]:
 def write_results(rows: Iterable[LeafBox], path) -> None:
     """Write evaluation rows, e.g. tracked_boxes(run_sequence(...)), as a results file."""
     rows = sorted(rows, key=lambda r: (r.frame, r.leaf_id))
-    _write_lines(path, [_box_line(r.frame, r.leaf_id, r.box, ",1.0") for r in rows])
+    write_lines(path, [_box_line(r.frame, r.leaf_id, r.box, ",1.0") for r in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -327,7 +327,7 @@ def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
         f"{frame},{det_index},{leaf_id}"
         for (frame, det_index), leaf_id in sorted(truth_map.items())
     ]
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -354,7 +354,7 @@ def write_triplets(triplets: Iterable[TripletSpec], path) -> None:
         f"{t.negative.plant_id},{t.negative.leaf_id},{t.negative.t}"
         for t in triplets
     ]
-    _write_lines(path, lines)
+    write_lines(path, lines)
 
 
 # ---------------------------------------------------------------------------
@@ -448,4 +448,4 @@ def write_leaf_matrix_csv(matrix: LeafAccuracyMatrix, path) -> None:
     lines = ["leaf_id," + ",".join(str(frame) for frame in matrix.frames)]
     for leaf_id, row in zip(matrix.leaf_ids, matrix.cells.tolist()):
         lines.append(f"{leaf_id}," + ",".join(_CELL_TEXT[value] for value in row))
-    _write_lines(path, lines)
+    write_lines(path, lines)

@@ -10,7 +10,6 @@ until their gate decisions differ.
 
 from __future__ import annotations
 
-from copy import deepcopy
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Mapping, Sequence
 
@@ -71,8 +70,9 @@ class MemoryBank:
     Row i of each field is one track: unit-norm prototype, id and age
     (frames since its last match); sums, the sum of the absorbed
     embeddings, exists only in mean mode.  The first founding fixes the mode
-    and the width of prototypes, 0 until then.  step updates matched rows in
-    place, so copy a row to keep it across a step.  track_ids strictly
+    and the width of prototypes, 0 until then.  A step replaces the arrays
+    and writes into none it replaces, so a row read before a step keeps
+    its values and a fork shares its parent's arrays.  track_ids strictly
     ascend, as ids are handed out in creation order.
     """
 
@@ -101,17 +101,21 @@ class FrameResult:
     pruned_track_ids: list[int]
 
 
-def _propose(bank: MemoryBank, detections: list[Detection], params: TrackerParams):
-    """The half of step that tau_s does not touch: (kept, embeddings, similarity, solved).
+def _advance(bank: MemoryBank, detections: list[Detection], rows: dict[int, TrackerParams], frame: int) -> list:
+    """Advance one bank by one frame for the rows sharing it: a (bank, its rows, FrameResult) per pair set.
 
-    kept lists the confidence-filtered (index, detection) pairs and
-    embeddings their rows; solved is the minimum-cost assignment of
-    prototypes to them on (1 - similarity), before the gate.  An empty
-    bank takes the width and mode of this frame.
+    rows maps grid indices to params that differ at most in tau_s (in
+    mean mode also in alpha).  The frame is proposed once (confidence
+    filter, similarity_matrix, hungarian) and gated by each row's tau_s.
+    Each distinct gated pair set advances its own bank, the given one
+    first and a shallow copy for each other; no array the bank held is
+    written, so the copies share them.  An empty bank takes the width and
+    mode of this frame.
 
     Raises:
         ValueError: on a mismatch of embedding dimension or of ema_mode.
     """
+    params = next(iter(rows.values()))
     kept = [(j, det) for j, det in enumerate(detections) if det.confidence >= params.conf_min]
     mean_mode = params.ema_mode == "mean"
     width = bank.prototypes.shape[1]
@@ -128,45 +132,48 @@ def _propose(bank: MemoryBank, detections: list[Detection], params: TrackerParam
         bank.sums = np.zeros((0, dim)) if mean_mode else None
     embeddings = np.array([det.embedding for _, det in kept]).reshape(len(kept), dim)
     similarity = similarity_matrix(bank.prototypes, embeddings)
-    return kept, embeddings, similarity, hungarian(1.0 - similarity)
+    solved = hungarian(1.0 - similarity)
+    by_pairs: dict = {}
+    for i, row in rows.items():
+        by_pairs.setdefault(tuple(gate_assignment(solved, similarity, row.tau_s).pairs), {})[i] = row
 
+    advanced = []
+    forks = [bank] + [replace(bank) for _ in range(len(by_pairs) - 1)]
+    for fork, (pairs, members) in zip(forks, by_pairs.items()):
+        matched, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
+        founders = np.delete(np.arange(len(kept)), cols)
+        new_ids = np.arange(fork.next_id, fork.next_id + len(founders))
+        # Founders are stacked first, so every write below lands in a new array.
+        track_ids = np.concatenate([fork.track_ids, new_ids])
+        ages = np.concatenate([fork.ages + 1, np.zeros_like(new_ids)])
+        ages[matched] = 0
+        prototypes = np.vstack([fork.prototypes, embeddings[founders]])
+        sums = np.vstack([fork.sums, embeddings[founders]]) if mean_mode else None
+        if mean_mode:
+            sums[matched] += embeddings[cols]
+            blended = sums[matched]
+        else:
+            blended = params.alpha * fork.prototypes[matched] + (1.0 - params.alpha) * embeddings[cols]
+        # A blend of finite unit vectors normalizes unless it is zero: a match opposite to
+        # its prototype (tau_s = -1 admits one) cancels it and takes the detection's embedding.
+        cancelled = ~blended.any(axis=1)
+        blended[cancelled] = embeddings[cols[cancelled]]
+        prototypes[matched] = normalize_rows(blended)
 
-def _commit(bank: MemoryBank, kept, embeddings, pairs, params: TrackerParams, frame: int) -> FrameResult:
-    """The half of step after the gate: absorb the pairs, age, prune and found, in place."""
-    mean_mode = params.ema_mode == "mean"
-    rows, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
-    if mean_mode:
-        bank.sums[rows] += embeddings[cols]
-        blended = bank.sums[rows]
-    else:
-        blended = params.alpha * bank.prototypes[rows] + (1.0 - params.alpha) * embeddings[cols]
-    # A blend of finite unit vectors normalizes unless it is zero: a match opposite to
-    # its prototype (tau_s = -1 admits one) cancels it and takes the detection's embedding.
-    cancelled = ~blended.any(axis=1)
-    blended[cancelled] = embeddings[cols[cancelled]]
-    bank.prototypes[rows] = normalize_rows(blended)
-
-    bank.ages += 1
-    bank.ages[rows] = 0
-    keep = bank.ages <= params.tau_a
-    founders = np.delete(np.arange(len(kept)), cols)
-    new_ids = np.arange(bank.next_id, bank.next_id + len(founders))
-    labels = np.concatenate([bank.track_ids[rows], new_ids]).tolist()
-    dets = np.concatenate([cols, founders]).tolist()
-    assignments = [(track_id, kept[dj][0], kept[dj][1].box) for track_id, dj in zip(labels, dets)]
-    pruned = bank.track_ids[~keep].tolist()
-
-    bank.next_id += len(founders)
-    bank.track_ids = np.concatenate([bank.track_ids[keep], new_ids])
-    bank.ages = np.concatenate([bank.ages[keep], np.zeros_like(new_ids)])
-    bank.prototypes = np.vstack([bank.prototypes[keep], embeddings[founders]])
-    if mean_mode:
-        bank.sums = np.vstack([bank.sums[keep], embeddings[founders]])
-    return FrameResult(frame, assignments, new_ids.tolist(), pruned)
+        keep = ages <= params.tau_a
+        labels = np.concatenate([fork.track_ids[matched], new_ids]).tolist()
+        dets = np.concatenate([cols, founders]).tolist()
+        assignments = [(track_id, kept[dj][0], kept[dj][1].box) for track_id, dj in zip(labels, dets)]
+        result = FrameResult(frame, assignments, new_ids.tolist(), track_ids[~keep].tolist())
+        fork.next_id += len(founders)
+        fork.track_ids, fork.ages, fork.prototypes = track_ids[keep], ages[keep], prototypes[keep]
+        fork.sums = sums[keep] if mean_mode else None
+        advanced.append((fork, members, result))
+    return advanced
 
 
 def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int) -> FrameResult:
-    """Advance the bank by one frame, in place.
+    """Advance the bank by one frame: run_grid's frame for one row.
 
     Confidence-filtered detections are matched to prototypes by
     minimum-cost assignment on (1 - similarity) and gated at tau_s.
@@ -178,9 +185,7 @@ def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, f
     Raises:
         ValueError: on a mismatch of embedding dimension or of ema_mode.
     """
-    kept, embeddings, similarity, solved = _propose(bank, detections, params)
-    pairs = gate_assignment(solved, similarity, params.tau_s).pairs
-    return _commit(bank, kept, embeddings, pairs, params, frame)
+    return _advance(bank, detections, {0: params}, frame)[0][2]
 
 
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:
@@ -199,9 +204,10 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
     """run_sequence(frames, params) for each params of grid, in grid order.
 
     Rows that differ only in tau_s (in mean mode, which never reads alpha,
-    also in alpha) start on one bank.  Each frame, a bank's proposal is
-    solved once and gated by each of its rows; rows whose gated pairs
-    differ go on with a copy of the bank each.  Rows on one bank share
+    also in alpha) start on one bank.  Each frame advances every bank
+    once, as step does, with its proposal solved once and gated by each
+    of its rows; rows whose gated pairs differ go on with a fork of the
+    bank each, which shares the bank's arrays.  Rows on one bank share
     their FrameResult objects.
 
     Raises:
@@ -210,21 +216,14 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
     groups: dict = {}
     for i, params in enumerate(grid):
         alpha = 0.0 if params.ema_mode == "mean" else params.alpha
-        groups.setdefault(replace(params, tau_s=0.0, alpha=alpha), []).append(i)
+        groups.setdefault(replace(params, tau_s=0.0, alpha=alpha), {})[i] = params
     branches = [(MemoryBank(), rows) for rows in groups.values()]
     results: list[list[FrameResult]] = [[] for _ in grid]
     for frame in sorted(frames):
         forked = []
         try:
             for bank, rows in branches:
-                kept, embeddings, similarity, solved = _propose(bank, frames[frame], grid[rows[0]])
-                by_pairs: dict = {}
-                for i in rows:
-                    pairs = gate_assignment(solved, similarity, grid[i].tau_s).pairs
-                    by_pairs.setdefault(tuple(pairs), []).append(i)
-                banks = [bank] + [deepcopy(bank) for _ in range(len(by_pairs) - 1)]
-                for fork, (pairs, members) in zip(banks, by_pairs.items()):
-                    result = _commit(fork, kept, embeddings, pairs, grid[members[0]], frame)
+                for fork, members, result in _advance(bank, frames[frame], rows, frame):
                     for i in members:
                         results[i].append(result)
                     forked.append((fork, members))

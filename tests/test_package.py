@@ -129,6 +129,11 @@ def test_metrics_loads_neither_tracker_nor_embedding():
     assert out == "['frond', 'frond.assignment', 'frond.geometry', 'frond.metrics']\n"
 
 
+def test_tracker_loads_neither_metrics_nor_simulator_nor_fileio():
+    out = run_python("import sys, frond.tracker; print(sorted(m for m in sys.modules if m.startswith('frond')))")
+    assert out == "['frond', 'frond.assignment', 'frond.embedding', 'frond.geometry', 'frond.tracker']\n"
+
+
 def test_cli_pins_blas_before_numpy_loads():
     code = SPY_ON_NUMPY + "import frond.cli\nprint(*(os.environ[v] for v in %r))" % (BLAS_VARS,)
     assert run_python(code) == "at numpy import: 1\n1 1 1\n"

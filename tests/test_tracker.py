@@ -235,6 +235,21 @@ class TestStep:
         assert bank.ages[0] == 0
         assert np.array_equal(bank.prototypes[0], before)
 
+    @pytest.mark.parametrize("ema_mode", ["ema", "mean"])
+    def test_arrays_read_before_a_step_keep_their_values(self, ema_mode):
+        # Track 1 matches and track 2 ages, yet no array the bank held
+        # before the step is written: a step replaces them.
+        params = TrackerParams(tau_s=-1.0, ema_mode=ema_mode)
+        bank = MemoryBank()
+        step(bank, [det(axis(3, 0)), det(axis(3, 1), u=20.0)], params, 1)
+        held = [bank.prototypes[0], bank.ages, bank.track_ids] + ([bank.sums] if ema_mode == "mean" else [])
+        copies = [a.copy() for a in held]
+        result = step(bank, [det([0.6, 0.0, 0.8])], params, frame=2)
+        assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
+        assert bank.ages.tolist() == [0, 1]
+        assert not np.array_equal(bank.prototypes[0], copies[0])
+        assert all(np.array_equal(a, c) for a, c in zip(held, copies))
+
     def test_ema_blend_is_renormalized(self):
         # alpha=0.5 blend of (1,0) and (0,1) is (0.5, 0.5); stored
         # prototype is its unit version (sqrt(1/2), sqrt(1/2)).
