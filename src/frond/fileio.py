@@ -5,10 +5,11 @@ Every format is line-oriented text except the detection embeddings, which
 go to a binary `.npy` sidecar beside the detection file.  Floats are
 written with shortest round-trip formatting, text files end with a
 trailing newline, and line endings are always LF, so equal inputs produce
-byte-identical files.  A bad line is named as `path:lineno: message`:
+byte-identical files.  Every text file is read as UTF-8, whatever the
+host's locale.  A bad line is named as `path:lineno: message`:
 comma-separated rows get the prefix in the one row loop they share, the
-detection header and the key=value reader add it themselves, and the
-parse helpers say only what is wrong.
+detection header and the key=value reader's one loop add it themselves,
+and the parse helpers say only what is wrong.
 Detections, ground truth and results share the frame,id,x,y,w,h columns,
 which one formatter writes; ground truth and results are read by one
 reader into geometry.LeafBox rows, a result's track id as its leaf_id.
@@ -74,6 +75,17 @@ def _strict(text: str) -> bool:
     return text.isascii() and "_" not in text and " " not in text and "\t" not in text
 
 
+def _lines(path) -> list[str]:
+    """The lines of the file at path, decoded as UTF-8 in one call; a bad byte names its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8").splitlines()
+    except UnicodeDecodeError as err:
+        # The lines before the bad byte, counted as splitlines() counts them, and its own.
+        lineno = len((data[: err.start].decode("utf-8") + "?").splitlines())
+        raise ValueError(f"{path}:{lineno}: not UTF-8 text") from None
+
+
 def _rows(path, lines: list[str], names: tuple[str, ...], parse, first_lineno: int = 1) -> list:
     """parse(fields) for each comma-separated line, in order.
 
@@ -132,7 +144,7 @@ def _read_boxes(path, names: tuple[str, ...]) -> list[LeafBox]:
         seen.add((frame, row_id))
         return LeafBox(frame, row_id, BBox(*_floats(fields[2:], names[2:])[:4]))
 
-    return _rows(path, Path(path).read_text().splitlines(), names, parse)
+    return _rows(path, _lines(path), names, parse)
 
 
 def write_lines(path, lines: list[str]) -> None:
@@ -191,7 +203,7 @@ def read_detections(path) -> dict[int, list[Detection]]:
             sidecar when it is missing or not a (rows, D) float64 array.
             A sidecar with too few rows is reported after every line.
     """
-    lines = Path(path).read_text().splitlines()
+    lines = _lines(path)
     frames: dict[int, list[Detection]] = {}
     try:
         if not lines:
@@ -319,7 +331,7 @@ def read_truth_map(path) -> dict[tuple[int, int], int]:
         seen.add((frame, det_index))
         return (frame, det_index), leaf_id
 
-    return dict(_rows(path, Path(path).read_text().splitlines(), _TRUTH_MAP_FIELDS, parse))
+    return dict(_rows(path, _lines(path), _TRUTH_MAP_FIELDS, parse))
 
 
 def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
@@ -345,7 +357,7 @@ def read_triplets(path) -> list[TripletSpec]:
             negative=CropRef(neg_plant, neg_leaf, t_n),
         )
 
-    return _rows(path, Path(path).read_text().splitlines(), _TRIPLET_FIELDS, parse)
+    return _rows(path, _lines(path), _TRIPLET_FIELDS, parse)
 
 
 def write_triplets(triplets: Iterable[TripletSpec], path) -> None:
@@ -361,22 +373,6 @@ def write_triplets(triplets: Iterable[TripletSpec], path) -> None:
 # key=value configs
 # ---------------------------------------------------------------------------
 
-def _read_kv(path) -> dict[str, str]:
-    values: dict[str, str] = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key in values:
-            raise ValueError(f"{path}:{lineno}: duplicate key {key!r}")
-        values[key] = value.strip()
-    return values
-
-
 def read_value(kind, raw: str):
     """raw, a config value or a sweep-axis value, converted by kind; ValueError on what _strict rejects."""
     if not _strict(raw):
@@ -384,7 +380,7 @@ def read_value(kind, raw: str):
     return kind(raw)
 
 
-def _cast(kind, raw: str, key: str, path):
+def _cast(kind, raw: str, key: str):
     """raw converted by read_value, or by each piece's kind for a tuple kind.
 
     A tuple[tuple[...], ...] kind reads comma-separated entries of
@@ -397,13 +393,13 @@ def _cast(kind, raw: str, key: str, path):
         for part in raw.split(",") if raw else ():
             pieces = part.split(":")
             if len(pieces) != len(piece_kinds):
-                raise ValueError(f"{path}: malformed value for {key}: {part!r}")
-            entries.append(tuple(_cast(k, p, key, path) for k, p in zip(piece_kinds, pieces)))
+                raise ValueError(f"malformed value for {key}: {part!r}")
+            entries.append(tuple(_cast(k, p, key) for k, p in zip(piece_kinds, pieces)))
         return tuple(entries)
     try:
         return read_value(kind, raw)
     except ValueError:
-        raise ValueError(f"{path}: malformed value for {key}: {raw!r}") from None
+        raise ValueError(f"malformed value for {key}: {raw!r}") from None
 
 
 def _read_config(path, cls):
@@ -411,14 +407,28 @@ def _read_config(path, cls):
 
     The keys are the field names, the required keys are the fields with no
     default, and each value is converted by the field's annotated type.
+    Each line is checked and converted where it is read, so the first bad
+    line is the one reported, as `path:lineno: message`; a missing required
+    key and a value cls refuses concern the whole file, as `path: message`.
     """
     fields = {f.name: f for f in dataclasses.fields(cls)}
     kinds = get_type_hints(cls)
     kwargs = {}
-    for key, raw in _read_kv(path).items():
-        if key not in fields:
-            raise ValueError(f"{path}: unknown config key: {key}")
-        kwargs[key] = _cast(kinds[key], raw, key, path)
+    for lineno, raw in enumerate(_lines(path), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, eq, value = (part.strip() for part in line.partition("="))
+        try:
+            if not eq:
+                raise ValueError(f"expected key=value, got {raw!r}")
+            if key in kwargs:
+                raise ValueError(f"duplicate key {key!r}")
+            if key not in fields:
+                raise ValueError(f"unknown config key: {key}")
+            kwargs[key] = _cast(kinds[key], value, key)
+        except ValueError as err:
+            raise ValueError(f"{path}:{lineno}: {err}") from None
     for name, f in fields.items():
         required = f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
         if required and name not in kwargs:

@@ -1,14 +1,16 @@
-"""Comparison-operator mutation sweep over frond modules.
+"""Mutation sweep over frond modules: flipped comparisons and deleted raises.
 
-Each mutant flips one comparison operator at one site: < and <=, > and
->=, == and !=, in and not in, is and is not.  The sweep copies the
-checkout into a temporary directory, flips the operator in the parsed
-module and writes ast.unparse of it there (never into this checkout's
-src/), and runs the tier-1 suite on the copy with -x, hypothesis seed
-SEED and a TIMEOUT per mutant, one mutant at a time.  A mutant is killed
-when the suite fails or times out.  A survivor whose flipped comparison
-holds a fragment of EQUIVALENT is reported with that fragment's reason;
-any other survivor is real and wants a new test.
+Each mutant changes one site: it flips one comparison operator (< and
+<=, > and >=, == and !=, in and not in, is and is not), or it turns one
+raise statement into pass.  The sweep copies the checkout into a
+temporary directory, mutates the parsed module and writes ast.unparse
+of it there (never into this checkout's src/), and runs the tier-1 suite
+on the copy with -x, hypothesis seed SEED and a TIMEOUT per mutant, one
+mutant at a time.  A mutant is killed when the suite fails or times
+out.  A survivor whose original text (the comparison "left op right",
+or the whole raise statement) holds a fragment of EQUIVALENT is
+reported with that fragment's reason; any other survivor is real and
+wants a new test.
 
 Run from the repository root, naming modules of src/frond:
 
@@ -49,7 +51,7 @@ FLIPS = {
     ast.IsNot: ast.Is,
 }
 
-# (module, fragment of the unparsed comparison "left op right") -> why a survivor there is expected.
+# (module, fragment of the unparsed comparison or raise) -> why a survivor there is expected.
 EQUIVALENT = {
     ("simulator.py", "rng.random() < "): (
         "rng.random() is a multiple of 2**-53 in [0, 1), so < p and <= p differ only on a draw "
@@ -74,23 +76,30 @@ def pair_text(left: ast.expr, op: ast.cmpop, right: ast.expr) -> str:
     return ast.unparse(ast.Compare(left=left, ops=[op], comparators=[right]))
 
 
+def sites(tree: ast.Module):
+    """(position, list, index, replacement, original text, mutant text) per comparison operator and per raise."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Compare):
+            for k, op in enumerate(node.ops):
+                left, right = [node.left, *node.comparators][k : k + 2]
+                flipped = FLIPS[type(op)]()
+                before, after = pair_text(left, op, right), pair_text(left, flipped, right)
+                yield (node.lineno, node.col_offset, k), node.ops, k, flipped, before, after
+        for _, body in ast.iter_fields(node):
+            for i, stmt in enumerate(body if isinstance(body, list) else ()):
+                if isinstance(stmt, ast.Raise):
+                    yield (stmt.lineno, stmt.col_offset, 0), body, i, ast.Pass(), ast.unparse(stmt), "pass"
+
+
 def mutants(module: str, source: str):
-    """Yield (line, comparison -> its flip, mutated source, allowed reason or None) per operator site."""
+    """Yield (line, original -> mutant, mutated source, allowed reason or None) per site, in source order."""
     tree = ast.parse(source)
-    sites = sorted(
-        ((node, k) for node in ast.walk(tree) if isinstance(node, ast.Compare) for k in range(len(node.ops))),
-        key=lambda site: (site[0].lineno, site[0].col_offset, site[1]),
-    )
-    for node, k in sites:
-        left, right = [node.left, *node.comparators][k : k + 2]
-        op = node.ops[k]
-        before = pair_text(left, op, right)
-        node.ops[k] = FLIPS[type(op)]()
-        after = pair_text(left, node.ops[k], right)
+    for (line, _, _), slots, i, replacement, before, after in sorted(sites(tree), key=lambda site: site[0]):
+        original, slots[i] = slots[i], replacement
         mutated = ast.unparse(tree)
-        node.ops[k] = op
+        slots[i] = original
         reason = next((why for (name, fragment), why in EQUIVALENT.items() if name == module and fragment in before), None)
-        yield node.lineno, f"{before} -> {after}", mutated, reason
+        yield line, f"{before} -> {after}", mutated, reason
 
 
 def run_suite(copy: Path) -> str:

@@ -234,6 +234,13 @@ class TestEval:
             "got (0.0, 0.0) to (1e+200, 1e+200)\n"
         )
 
+    def test_gt_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
+        gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+        gt.write_bytes(b"\xff1,1,0.0,0.0,5.0,5.0\n")
+        results.write_text("1,1,0.0,0.0,5.0,5.0,1.0\n")
+        assert main(["eval", "--gt", str(gt), "--results", str(results)]) == 1
+        assert capsys.readouterr().err == f"error: {gt}:1: not UTF-8 text\n"
+
     def test_iou_outside_unit_interval_is_usage_error(self, pipeline, capsys):
         out_dir, results = pipeline
         capsys.readouterr()

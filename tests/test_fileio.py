@@ -30,6 +30,7 @@ from frond.metrics import leaf_accuracy_matrix, match_frames
 from frond.simulator import CLUTTER_MIN_SIDE, ScenarioConfig
 from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
 from test_geometry import accepted_boxes
+from test_package import run_python
 
 
 def sample_frames(rng, n_frames=3, per_frame=2, dim=6):
@@ -52,6 +53,12 @@ def error_message(reader, path, text):
     with pytest.raises(ValueError) as err:
         reader(path)
     return str(err.value)
+
+
+def line_setting(text, message):
+    """The number of the line of text that sets the key message names ("malformed value for KEY: ...")."""
+    key = message.removeprefix("malformed value for ").split(":")[0]
+    return next(i for i, line in enumerate(text.splitlines(), start=1) if line.startswith(f"{key}="))
 
 
 def write_detection_pair(path, text, dim=2):
@@ -770,7 +777,8 @@ class TestTrackerParamsFile:
     )
     def test_strict_value_message_is_exact(self, tmp_path, text, message):
         path = tmp_path / "params.cfg"
-        assert error_message(read_tracker_params, path, text) == f"{path}: {message}"
+        lineno = line_setting(text, message)
+        assert error_message(read_tracker_params, path, text) == f"{path}:{lineno}: {message}"
 
 
 class TestScenarioConfigFile:
@@ -869,7 +877,8 @@ class TestScenarioConfigFile:
     )
     def test_strict_value_message_is_exact(self, tmp_path, text, message):
         path = tmp_path / "scene.cfg"
-        assert error_message(read_scenario_config, path, text) == f"{path}: {message}"
+        lineno = line_setting(text, message)
+        assert error_message(read_scenario_config, path, text) == f"{path}:{lineno}: {message}"
 
     @pytest.mark.parametrize(
         "text, message",
@@ -885,7 +894,85 @@ class TestScenarioConfigFile:
     def test_tuple_field_message_is_exact(self, tmp_path, text, message):
         path = tmp_path / "scene.cfg"
         got = error_message(read_scenario_config, path, "n_frames=5\nn_leaves=2\n" + text)
-        assert got == f"{path}: {message}"
+        assert got == f"{path}:3: {message}"
+
+
+class TestConfigReaderIsOnePass:
+    """Each config line is checked and converted where it is read, so a line error names its line."""
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            # Line 2 is bad in its value, line 3 in its form: line 2 is reported.
+            (read_tracker_params, "tau_s=0.4\nalpha=fast\ntau_s 0.4\n", "2: malformed value for alpha: 'fast'"),
+            (read_tracker_params, "tau_s=0.4\ntau_x=1\n", "2: unknown config key: tau_x"),
+            (read_tracker_params, "\n# tracker\nalpha=fast\n", "3: malformed value for alpha: 'fast'"),
+            (read_scenario_config, "n_frames=5\nwind=3\nn_leaves=2\n", "2: unknown config key: wind"),
+            (read_scenario_config, "n_frames=5\nseed=1_1\nn_leaves=2\n", "2: malformed value for seed: '1_1'"),
+            (read_scenario_config, "n_frames=x\nn_leaves=2\nwind=3\n", "1: malformed value for n_frames: 'x'"),
+            # A repeated unknown key is unknown at its first line, not a duplicate at its second.
+            (read_tracker_params, "wind=1\nwind=2\n", "1: unknown config key: wind"),
+            (read_scenario_config, "n_frames=5\nwind=1\nwind=2\n", "2: unknown config key: wind"),
+            (read_tracker_params, "alpha=0.5\nalpha=0.6\n", "2: duplicate key 'alpha'"),
+        ],
+    )
+    def test_line_error_names_its_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "a.cfg"
+        assert error_message(reader, path, text) == f"{path}:{message}"
+
+    @pytest.mark.parametrize(
+        "reader, text, message",
+        [
+            (read_scenario_config, "n_frames=5\n", "missing required key: n_leaves"),
+            (read_tracker_params, "tau_s=1.5\n", "tau_s must lie in [-1, 1], got 1.5"),
+        ],
+    )
+    def test_whole_file_error_names_no_line(self, tmp_path, reader, text, message):
+        path = tmp_path / "a.cfg"
+        assert error_message(reader, path, text) == f"{path}: {message}"
+
+
+class TestUtf8:
+    @pytest.mark.parametrize(
+        "reader",
+        [
+            read_detections,
+            read_gt,
+            read_results,
+            read_truth_map,
+            read_triplets,
+            read_tracker_params,
+            read_scenario_config,
+        ],
+    )
+    def test_bad_byte_names_file_and_line(self, tmp_path, reader):
+        path = tmp_path / "input.txt"
+        path.write_bytes(b"# first line\n\xff\n")
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:2: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "data, lineno",
+        [
+            (b"\xff", 1),
+            (b"tau_s=0.4\r\nalpha=0.5\r\n# caf\xc3\xa9 \xe9\n", 3),
+            (b"tau_s=0.4\ralpha=0.5\n\xc3", 3),
+        ],
+    )
+    def test_line_is_counted_as_the_readers_count_it(self, tmp_path, data, lineno):
+        path = tmp_path / "params.cfg"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            read_tracker_params(path)
+        assert str(err.value) == f"{path}:{lineno}: not UTF-8 text"
+
+    def test_utf8_text_reads_under_an_ascii_locale(self, tmp_path):
+        # Without UTF-8 mode and locale coercion, the C locale's text encoding is ASCII.
+        path = tmp_path / "params.cfg"
+        path.write_bytes("# caf\u00e9 \u2013 settings\ntau_s=0.3\n".encode("utf-8"))
+        code = f"from frond.fileio import read_tracker_params; print(read_tracker_params({str(path)!r}).tau_s)"
+        assert run_python(code, LC_ALL="C", PYTHONCOERCECLOCALE="0", PYTHONUTF8="0") == "0.3\n"
 
 
 def _config_text(config) -> str:
