@@ -46,7 +46,7 @@ def main():
             leaf_detection(100.0 * k, signatures[name] + rng.normal(0, 0.05, 32))
             for k, name in enumerate(script[frame])
         ]
-        result = step(bank, dets, params, frame)
+        bank, result = step(bank, dets, params, frame)
         born.update(dict.fromkeys(result.new_track_ids, frame))
         labels = " ".join(
             f"{script[frame][j]}->id{tid}" for tid, j, _ in result.assignments
@@ -72,7 +72,7 @@ def main():
             leaf_detection(100.0 * k, signatures[name] + rng.normal(0, 0.05, 32))
             for k, name in enumerate(present)
         ]
-        result = step(bank2, dets, params, frame)
+        bank2, result = step(bank2, dets, params, frame)
         if result.pruned_track_ids:
             print(f"frame {frame}: pruned {result.pruned_track_ids} (gap too long)")
         if frame >= 10 and result.new_track_ids:

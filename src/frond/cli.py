@@ -37,7 +37,7 @@ class _UsageError(Exception):
 
 def _require_file(path: str) -> str:
     if not Path(path).is_file():
-        raise _UsageError(f"no such file: {path}")
+        raise _UsageError(f"{'not a file' if Path(path).exists() else 'no such file'}: {path}")
     return path
 
 

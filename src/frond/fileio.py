@@ -17,6 +17,7 @@ reader into geometry.LeafBox rows, a result's track id as its leaf_id.
 
 from __future__ import annotations
 
+import codecs
 import dataclasses
 import math
 import re
@@ -76,8 +77,11 @@ def _strict(text: str) -> bool:
 
 
 def _lines(path) -> list[str]:
-    """The lines of the file at path, decoded as UTF-8 in one call; a bad byte names its line."""
-    data = Path(path).read_bytes()
+    """The lines of the file at path, decoded as UTF-8 in one call; a bad byte names its line.
+
+    One leading byte-order mark is dropped; a U+FEFF anywhere else stays in its line.
+    """
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8)
     try:
         return data.decode("utf-8").splitlines()
     except UnicodeDecodeError as err:

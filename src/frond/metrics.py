@@ -212,21 +212,25 @@ def _association_accuracy(table: MatchTable) -> float:
     """AssA under the majority-vote identity bijection.
 
     The bijection takes candidate pairs in order of descending match
-    count; count ties prefer the earlier-established prediction id.  Each
-    gt and each pred id is used at most once.  Each frame with at least
+    count; count ties prefer the earlier-established prediction id, then
+    the pair whose first TP is earlier.  Two pairs that share an id never
+    share that frame, so no id label decides the pick.  Each gt and each
+    pred id is used at most once.  Each frame with at least
     one TP contributes the fraction of its TPs whose (gt, pred) pair
     agrees with the bijection; frames without TPs are skipped.  Returns
     0.0 when no TP exists at all.
     """
     established: dict = {}  # first frame of each prediction id, matched or not
+    first_tp: dict = {}  # first frame of each (gt, pred) pair
     for frame in table.frames:
-        for _, pred_id, _ in table.matches[frame]:
+        for gt_id, pred_id, _ in table.matches[frame]:
             established.setdefault(pred_id, frame)
+            first_tp.setdefault((gt_id, pred_id), frame)
         for pred_id in table.false_alarms[frame]:
             established.setdefault(pred_id, frame)
     ranked = sorted(
         table.pair_counts.items(),
-        key=lambda item: (-item[1], established[item[0][1]], item[0][0], item[0][1]),
+        key=lambda item: (-item[1], established[item[0][1]], first_tp[item[0]]),
     )
     bijection: dict = {}
     used_preds: set = set()

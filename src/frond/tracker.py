@@ -63,17 +63,16 @@ class TrackerParams:
             raise ValueError(f"ema_mode must be one of {EMA_MODES}, got {self.ema_mode!r}")
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class MemoryBank:
     """Live tracks as rows of one matrix, in creation order, plus the id allocator.
 
     Row i of each field is one track: unit-norm prototype, id and age
     (frames since its last match); sums, the sum of the absorbed
     embeddings, exists only in mean mode.  The first founding fixes the mode
-    and the width of prototypes, 0 until then.  A step replaces the arrays
-    and writes into none it replaces, so a row read before a step keeps
-    its values and a fork shares its parent's arrays.  track_ids strictly
-    ascend, as ids are handed out in creation order.
+    and the width of prototypes, 0 until then.  A bank is a value: a step
+    returns the next bank and leaves the given one as it was.  track_ids
+    strictly ascend, as ids are handed out in creation order.
     """
 
     prototypes: np.ndarray = field(default_factory=lambda: np.zeros((0, 0)))
@@ -83,7 +82,7 @@ class MemoryBank:
     next_id: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrameResult:
     """Tracker output for one frame.
 
@@ -102,15 +101,13 @@ class FrameResult:
 
 
 def _advance(bank: MemoryBank, detections: list[Detection], rows: dict[int, TrackerParams], frame: int) -> list:
-    """Advance one bank by one frame for the rows sharing it: a (bank, its rows, FrameResult) per pair set.
+    """Advance one bank by one frame for the rows sharing it: a (next bank, its rows, FrameResult) per pair set.
 
     rows maps grid indices to params that differ at most in tau_s (in
     mean mode also in alpha).  The frame is proposed once (confidence
-    filter, similarity_matrix, hungarian) and gated by each row's tau_s.
-    Each distinct gated pair set advances its own bank, the given one
-    first and a shallow copy for each other; no array the bank held is
-    written, so the copies share them.  An empty bank takes the width and
-    mode of this frame.
+    filter, similarity_matrix, hungarian) and gated by each row's tau_s,
+    and each distinct gated pair set gives its own next bank.  An empty
+    bank takes the width and mode of this frame.
 
     Raises:
         ValueError: on a mismatch of embedding dimension or of ema_mode.
@@ -127,33 +124,30 @@ def _advance(bank: MemoryBank, detections: list[Detection], rows: dict[int, Trac
         d = det.embedding.shape[0]
         if d != dim:
             raise ValueError(f"dimension mismatch: embedding has {d} components, bank uses {dim}")
-    if not width:
-        bank.prototypes = np.zeros((0, dim))
-        bank.sums = np.zeros((0, dim)) if mean_mode else None
+    old_prototypes = bank.prototypes if width else np.zeros((0, dim))
+    old_sums = (bank.sums if width else np.zeros((0, dim))) if mean_mode else None
     embeddings = np.array([det.embedding for _, det in kept]).reshape(len(kept), dim)
-    similarity = similarity_matrix(bank.prototypes, embeddings)
+    similarity = similarity_matrix(old_prototypes, embeddings)
     solved = hungarian(1.0 - similarity)
     by_pairs: dict = {}
     for i, row in rows.items():
         by_pairs.setdefault(tuple(gate_assignment(solved, similarity, row.tau_s).pairs), {})[i] = row
 
     advanced = []
-    forks = [bank] + [replace(bank) for _ in range(len(by_pairs) - 1)]
-    for fork, (pairs, members) in zip(forks, by_pairs.items()):
+    for pairs, members in by_pairs.items():
         matched, cols = np.array(pairs, dtype=np.intp).reshape(-1, 2).T
         founders = np.delete(np.arange(len(kept)), cols)
-        new_ids = np.arange(fork.next_id, fork.next_id + len(founders))
-        # Founders are stacked first, so every write below lands in a new array.
-        track_ids = np.concatenate([fork.track_ids, new_ids])
-        ages = np.concatenate([fork.ages + 1, np.zeros_like(new_ids)])
+        new_ids = np.arange(bank.next_id, bank.next_id + len(founders))
+        track_ids = np.concatenate([bank.track_ids, new_ids])
+        ages = np.concatenate([bank.ages + 1, np.zeros_like(new_ids)])
         ages[matched] = 0
-        prototypes = np.vstack([fork.prototypes, embeddings[founders]])
-        sums = np.vstack([fork.sums, embeddings[founders]]) if mean_mode else None
+        prototypes = np.vstack([old_prototypes, embeddings[founders]])
+        sums = np.vstack([old_sums, embeddings[founders]]) if mean_mode else None
         if mean_mode:
             sums[matched] += embeddings[cols]
             blended = sums[matched]
         else:
-            blended = params.alpha * fork.prototypes[matched] + (1.0 - params.alpha) * embeddings[cols]
+            blended = params.alpha * old_prototypes[matched] + (1.0 - params.alpha) * embeddings[cols]
         # A blend of finite unit vectors normalizes unless it is zero: a match opposite to
         # its prototype (tau_s = -1 admits one) cancels it and takes the detection's embedding.
         cancelled = ~blended.any(axis=1)
@@ -161,31 +155,35 @@ def _advance(bank: MemoryBank, detections: list[Detection], rows: dict[int, Trac
         prototypes[matched] = normalize_rows(blended)
 
         keep = ages <= params.tau_a
-        labels = np.concatenate([fork.track_ids[matched], new_ids]).tolist()
+        labels = np.concatenate([bank.track_ids[matched], new_ids]).tolist()
         dets = np.concatenate([cols, founders]).tolist()
         assignments = [(track_id, kept[dj][0], kept[dj][1].box) for track_id, dj in zip(labels, dets)]
         result = FrameResult(frame, assignments, new_ids.tolist(), track_ids[~keep].tolist())
-        fork.next_id += len(founders)
-        fork.track_ids, fork.ages, fork.prototypes = track_ids[keep], ages[keep], prototypes[keep]
-        fork.sums = sums[keep] if mean_mode else None
-        advanced.append((fork, members, result))
+        after = MemoryBank(
+            prototypes[keep], track_ids[keep], ages[keep], sums[keep] if mean_mode else None, bank.next_id + len(founders)
+        )
+        advanced.append((after, members, result))
     return advanced
 
 
-def step(bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int) -> FrameResult:
-    """Advance the bank by one frame: run_grid's frame for one row.
+def step(
+    bank: MemoryBank, detections: list[Detection], params: TrackerParams, frame: int
+) -> tuple[MemoryBank, FrameResult]:
+    """The next bank and the frame's result: run_grid's frame for one row.
 
     Confidence-filtered detections are matched to prototypes by
     minimum-cost assignment on (1 - similarity) and gated at tau_s.
     Matched tracks absorb their detection (EMA or running mean, then
     renormalized) and reset age to 0; every other track ages by one and
     is pruned once age exceeds tau_a.  Unmatched detections, gated ones
-    included, then found new tracks in detection order.
+    included, then found new tracks in detection order.  The given bank
+    is left as it was.
 
     Raises:
         ValueError: on a mismatch of embedding dimension or of ema_mode.
     """
-    return _advance(bank, detections, {0: params}, frame)[0][2]
+    after, _, result = _advance(bank, detections, {0: params}, frame)[0]
+    return after, result
 
 
 def run_sequence(frames: Mapping[int, list[Detection]], params: TrackerParams) -> list[FrameResult]:
@@ -206,9 +204,8 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
     Rows that differ only in tau_s (in mean mode, which never reads alpha,
     also in alpha) start on one bank.  Each frame advances every bank
     once, as step does, with its proposal solved once and gated by each
-    of its rows; rows whose gated pairs differ go on with a fork of the
-    bank each, which shares the bank's arrays.  Rows on one bank share
-    their FrameResult objects.
+    of its rows; rows whose gated pairs differ go on with a next bank
+    each.  Rows on one bank share their FrameResult objects.
 
     Raises:
         ValueError: step errors re-raised with the frame index prefixed.
@@ -220,16 +217,16 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
     branches = [(MemoryBank(), rows) for rows in groups.values()]
     results: list[list[FrameResult]] = [[] for _ in grid]
     for frame in sorted(frames):
-        forked = []
+        next_branches = []
         try:
             for bank, rows in branches:
-                for fork, members, result in _advance(bank, frames[frame], rows, frame):
+                for after, members, result in _advance(bank, frames[frame], rows, frame):
                     for i in members:
                         results[i].append(result)
-                    forked.append((fork, members))
+                    next_branches.append((after, members))
         except ValueError as err:
             raise ValueError(f"frame {frame}: {err}") from err
-        branches = forked
+        branches = next_branches
     return results
 
 

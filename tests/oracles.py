@@ -151,3 +151,60 @@ def prototype_update(prototype, total, embedding, alpha, mean_mode):
     if abs(norm - 1.0) <= 1e-12:
         return mix.copy(), total
     return mix / norm, total
+
+
+def reference_tracker(frames, params, follow=None):
+    """The tracker's spec by brute force: per frame in ascending order, (optima, pairs, new_ids, pruned_ids).
+
+    frames maps frame -> detections (box, confidence, unit-norm
+    embedding); params gives tau_s, tau_a, alpha, conf_min and ema_mode.
+    Each frame drops the detections below conf_min, prices every
+    injection of the shorter side (live tracks or kept detections) into
+    the longer at its total 1 - similarity, summed by math.fsum and
+    compared exactly, and gates each injection of least total at tau_s.
+    optima lists the distinct gated pair sets, each a tuple of (track
+    id, detection index) by ascending track id; the run goes on with
+    pairs, follow(frame, optima) when follow is given, else optima[0].
+    Matched tracks take prototype_update and age 0; the others age by
+    one and are pruned, in creation order, once older than tau_a; the
+    unmatched kept detections found new tracks in detection order.
+    """
+    mean_mode = params.ema_mode == "mean"
+    tracks = []  # [track id, prototype, total, age] in creation order
+    next_id = 1
+    out = []
+    for frame in sorted(frames):
+        kept = [(j, d) for j, d in enumerate(frames[frame]) if d.confidence >= params.conf_min]
+        sim = [[math.fsum(p * e for p, e in zip(t[1], d.embedding)) for _, d in kept] for t in tracks]
+        short, long_ = sorted((len(tracks), len(kept)))
+        best, optima = math.inf, []
+        for perm in itertools.permutations(range(long_), short):
+            cells = [(i, perm[i]) if len(tracks) <= len(kept) else (perm[i], i) for i in range(short)]
+            total = math.fsum(1.0 - sim[ti][dj] for ti, dj in cells)
+            gated = tuple(sorted((tracks[ti][0], kept[dj][0]) for ti, dj in cells if sim[ti][dj] >= params.tau_s))
+            if total < best:
+                best, optima = total, [gated]
+            elif total == best and gated not in optima:
+                optima.append(gated)
+        pairs = follow(frame, optima) if follow else optima[0]
+        matched = dict(pairs)
+        by_index = dict(kept)
+        for track in tracks:
+            if track[0] in matched:
+                track[1], track[2] = prototype_update(
+                    track[1], track[2], by_index[matched[track[0]]].embedding, params.alpha, mean_mode
+                )
+                track[3] = 0
+            else:
+                track[3] += 1
+        pruned = [t[0] for t in tracks if t[3] > params.tau_a]
+        tracks = [t for t in tracks if t[3] <= params.tau_a]
+        taken = set(matched.values())
+        new_ids = []
+        for j, d in kept:
+            if j not in taken:
+                tracks.append([next_id, d.embedding, d.embedding if mean_mode else None, 0])
+                new_ids.append(next_id)
+                next_id += 1
+        out.append((optima, pairs, new_ids, pruned))
+    return out

@@ -1,5 +1,6 @@
 """End-to-end command behavior through main(argv)."""
 
+import codecs
 import io
 import tempfile
 import warnings
@@ -81,6 +82,12 @@ class TestSimulate:
         )
         assert code == 2
         assert "no such file" in capsys.readouterr().err
+
+    def test_directory_as_config_is_named_not_a_file(self, tmp_path, capsys):
+        config = tmp_path / "scene.cfg"
+        config.mkdir()
+        assert main(["simulate", "--config", str(config), "--out-dir", str(tmp_path / "sim")]) == 2
+        assert capsys.readouterr().err == f"error: not a file: {config}\n"
 
     def test_bad_config_value_is_data_error(self, tmp_path, capsys):
         config = tmp_path / "scene.cfg"
@@ -233,6 +240,22 @@ class TestEval:
             f"error: {gt}:1: box corners must lie in [-1e+150, 1e+150], "
             "got (0.0, 0.0) to (1e+200, 1e+200)\n"
         )
+
+    @pytest.mark.parametrize("is_dir, message", [(True, "not a file"), (False, "no such file")])
+    def test_gt_that_is_no_regular_file_is_usage_error(self, tmp_path, capsys, is_dir, message):
+        gt, results = tmp_path / "d", tmp_path / "results.txt"
+        if is_dir:
+            gt.mkdir()
+        results.write_text("1,1,0.0,0.0,5.0,5.0,1.0\n")
+        assert main(["eval", "--gt", str(gt), "--results", str(results)]) == 2
+        assert capsys.readouterr().err == f"error: {message}: {gt}\n"
+
+    def test_gt_file_with_a_byte_order_mark_evaluates(self, tmp_path, capsys):
+        gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"
+        gt.write_bytes(codecs.BOM_UTF8 + b"1,1,0.0,0.0,5.0,5.0\n")
+        results.write_text("1,1,0.0,0.0,5.0,5.0,1.0\n")
+        assert main(["eval", "--gt", str(gt), "--results", str(results), "--machine"]) == 0
+        assert capsys.readouterr().out.startswith("hota=1.0\n")
 
     def test_gt_file_that_is_not_utf8_is_data_error(self, tmp_path, capsys):
         gt, results = tmp_path / "gt.txt", tmp_path / "results.txt"

@@ -1,5 +1,6 @@
 """File formats: round-trips, validation messages, byte determinism."""
 
+import codecs
 import dataclasses
 import math
 
@@ -966,6 +967,42 @@ class TestUtf8:
         with pytest.raises(ValueError) as err:
             read_tracker_params(path)
         assert str(err.value) == f"{path}:{lineno}: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "reader, text",
+        [
+            (read_tracker_params, "tau_s=0.3\nalpha=0.25\n"),
+            (read_scenario_config, "n_frames=4\nn_leaves=2\nseed=7\n"),
+            (read_gt, "1,1,0.0,0.0,5.0,5.0\n2,1,1.0,0.0,5.0,5.0\n"),
+        ],
+    )
+    def test_leading_byte_order_mark_is_dropped(self, tmp_path, reader, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text)
+        marked.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+        assert reader(marked) == reader(plain)
+
+    def test_bad_byte_after_a_mark_names_its_line(self, tmp_path):
+        path = tmp_path / "params.cfg"
+        path.write_bytes(codecs.BOM_UTF8 + b"tau_s=0.3\nalpha=0.5\n\xff\n")
+        with pytest.raises(ValueError) as err:
+            read_tracker_params(path)
+        assert str(err.value) == f"{path}:3: not UTF-8 text"
+
+    @pytest.mark.parametrize(
+        "reader, data, message",
+        [
+            (read_tracker_params, codecs.BOM_UTF8 * 2 + b"tau_s=0.3\n", "1: unknown config key: \ufefftau_s"),
+            (read_tracker_params, b"tau_s=0.3\n" + codecs.BOM_UTF8 + b"alpha=0.5\n", "2: unknown config key: \ufeffalpha"),
+            (read_gt, b"1,1,0,0,5,5\n" + codecs.BOM_UTF8 + b"2,1,0,0,5,5\n", "2: malformed frame: '\\ufeff2'"),
+        ],
+    )
+    def test_a_mark_anywhere_else_is_refused(self, tmp_path, reader, data, message):
+        path = tmp_path / "input.txt"
+        path.write_bytes(data)
+        with pytest.raises(ValueError) as err:
+            reader(path)
+        assert str(err.value) == f"{path}:{message}"
 
     def test_utf8_text_reads_under_an_ascii_locale(self, tmp_path):
         # Without UTF-8 mode and locale coercion, the C locale's text encoding is ASCII.

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import frond.metrics
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frond.geometry import BBox, LeafBox
@@ -121,6 +121,29 @@ def slotted_scene(draw):
             pred.append(p(frame, tid, u=100.0 * slot + du))
     assume(gt)
     return gt, pred
+
+
+@st.composite
+def labeled_scene(draw):
+    """2-7 frames of up to 3 leaves and 4 tracks on 6 places 100 px apart.
+
+    A gt box and a prediction on the same place have IoU 1, and on
+    different places 0, so every frame has one best matching and it
+    reads no id.
+    """
+    gt, pred = [], []
+    for frame in range(1, draw(st.integers(2, 7)) + 1):
+        for side, rows, top in ((g, gt, 3), (p, pred, 4)):
+            ids = draw(st.lists(st.integers(1, top), unique=True, max_size=top))
+            for row_id, place in zip(ids, draw(st.permutations(range(6)))):
+                rows.append(side(frame, row_id, u=100.0 * place))
+    assume(gt)
+    return gt, pred
+
+
+def relabeled(rows, labels):
+    """Each row with its id mapped through labels, in its place."""
+    return [LeafBox(r.frame, labels[r.leaf_id], r.box) for r in rows]
 
 
 # How a frame of a sweep scene looks: gt with detections around it, gt in
@@ -429,6 +452,19 @@ class TestAssA:
         table = match_frames([g(1, 1)], [p(1, 1, u=900.0)])
         assert report_from_table(table).assa == 0.0
 
+    @pytest.mark.parametrize("a, b", [(1, 2), (2, 1)])
+    def test_tied_pairs_are_picked_by_first_tp_not_by_label(self, a, b):
+        # Leaf 1 is matched by track a in frames 1-2 and by b in 3-4, leaf 2
+        # by b in 5-6, and b is a false alarm in frame 1: every pair counts
+        # 2 TPs and both tracks are established in frame 1.  The pair (1, a)
+        # has the first TP, so the bijection is {1: a, 2: b} for either labeling.
+        gt = [g(f, 1) for f in (1, 2, 3, 4)] + [g(f, 2) for f in (5, 6)]
+        pred = [p(1, a), p(1, b, u=500.0), p(2, a)] + [p(f, b) for f in (3, 4, 5, 6)]
+        report = evaluate(gt, pred)
+        assert report.assa == pytest.approx(4 / 6, abs=1e-12)
+        assert report.hota == pytest.approx(math.sqrt(6 / 7 * 4 / 6), abs=1e-12)
+        assert (round(report.idf1, 3), report.idsw) == (0.615, 1)
+
 
 class TestHota:
     def test_geometric_mean_identity(self):
@@ -549,6 +585,30 @@ class TestEvaluate:
     def test_empty_gt_rejected(self):
         with pytest.raises(ValueError, match="empty ground truth"):
             evaluate([], [p(1, 1)])
+
+
+class TestRelabeling:
+    @settings(max_examples=300, deadline=None)
+    @example(
+        scene=(
+            [g(f, 1) for f in (1, 2, 3, 4)] + [g(f, 2) for f in (5, 6)],
+            [p(1, 1), p(1, 2, u=500.0), p(2, 1)] + [p(f, 2) for f in (3, 4, 5, 6)],
+        ),
+        gt_labels=[1, 2, 3],
+        track_labels=[2, 1, 3, 4],
+    )
+    @given(
+        labeled_scene(),
+        st.lists(st.integers(1, 20), unique=True, min_size=3, max_size=3),
+        st.lists(st.integers(1, 20), unique=True, min_size=4, max_size=4),
+    )
+    def test_property_report_ignores_id_labels(self, scene, gt_labels, track_labels):
+        # A leaf id and a track id are labels: mapping each side's ids
+        # through a bijection, every row kept in its place, changes no field.
+        gt, pred = scene
+        renamed_gt = relabeled(gt, dict(zip(range(1, 4), gt_labels)))
+        renamed_pred = relabeled(pred, dict(zip(range(1, 5), track_labels)))
+        assert evaluate(renamed_gt, renamed_pred) == evaluate(gt, pred)
 
 
 class TestReportCounts:

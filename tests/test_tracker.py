@@ -11,7 +11,7 @@ from frond.embedding import normalize
 from frond.geometry import BBox
 from frond.simulator import ScenarioConfig, generate
 from frond.tracker import Detection, MemoryBank, TrackerParams, run_grid, run_sequence, step, tracked_boxes
-from oracles import prototype_update
+from oracles import prototype_update, reference_tracker
 
 
 def axis(dim: int, index: int, sign: float = 1.0) -> np.ndarray:
@@ -101,6 +101,45 @@ def grid_inputs(draw):
     return dict(enumerate(frames, start=1)), draw(st.lists(row, min_size=1, max_size=8))
 
 
+@st.composite
+def reference_scenes(draw):
+    """Frames keyed from 1 whose detections are 3-d draws around up to 3 leaves, or clutter.
+
+    A frame holds at most 7 - (the two frames before it) detections, so
+    no three frames in a row hold more than 7, and no bank of tau_a <= 2
+    holds more than 7 tracks.  Noise 0 repeats a leaf's embedding
+    exactly, which makes exact ties.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.sampled_from([0.0, 0.1, 0.3]))
+    leaves = rng.normal(size=(3, 3))
+    counts: list = []
+    for want in draw(st.lists(st.integers(0, 7), min_size=1, max_size=6)):
+        counts.append(min(want, 7 - sum(counts[-2:])))
+    frames = {}
+    for frame, count in enumerate(counts, start=1):
+        sources = draw(st.lists(st.integers(0, 3), min_size=count, max_size=count))
+        confidences = draw(st.lists(st.sampled_from([0.2, 0.5, 0.9]), min_size=count, max_size=count))
+        frames[frame] = [
+            Detection(
+                BBox(10.0 * k, 0.0, 5.0, 5.0),
+                conf,
+                rng.normal(size=3) if leaf == 3 else leaves[leaf] + noise * rng.normal(size=3),
+            )
+            for k, (leaf, conf) in enumerate(zip(sources, confidences))
+        ]
+    return frames
+
+
+REFERENCE_GRID = [
+    TrackerParams(tau_s=tau_s, tau_a=tau_a, alpha=alpha, ema_mode=mode)
+    for tau_s in (-1.0, 0.3, 0.8)
+    for tau_a in (0, 2)
+    for alpha in (0.0, 0.5)
+    for mode in ("ema", "mean")
+]
+
+
 # Frame 2's detection has similarity 0.6 to track 1: gates at 0.5 match it and
 # gates at 0.7 found track 2 instead, in either mode.
 FORKING_FRAMES = {1: [det(axis(2, 0))], 2: [det([0.6, 0.8])], 3: [det([0.6, 0.8])]}
@@ -179,20 +218,20 @@ class TestFirstStep:
     def test_confidence_filter(self):
         params = TrackerParams()
         bank = MemoryBank()
-        result = step(bank, [det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params, 1)
+        bank, result = step(bank, [det(axis(4, 0), conf=0.9), det(axis(4, 1), conf=0.3)], params, 1)
         assert bank.track_ids.tolist() == [1]
         assert result.new_track_ids == [1]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
 
     def test_exact_threshold_kept(self):
         bank = MemoryBank()
-        step(bank, [det(axis(4, 0), conf=0.5)], TrackerParams(), 1)
+        bank, _ = step(bank, [det(axis(4, 0), conf=0.5)], TrackerParams(), 1)
         assert bank.track_ids.tolist() == [1]
 
     def test_ids_follow_detection_order(self):
         dets = [det(axis(8, k), u=20.0 * k) for k in range(5)]
         bank = MemoryBank()
-        result = step(bank, dets, TrackerParams(), 1)
+        bank, result = step(bank, dets, TrackerParams(), 1)
         assert bank.track_ids.tolist() == [1, 2, 3, 4, 5]
         assert result.new_track_ids == [1, 2, 3, 4, 5]
         assert [j for _, j, _ in result.assignments] == [0, 1, 2, 3, 4]
@@ -200,13 +239,13 @@ class TestFirstStep:
     def test_prototypes_are_the_embeddings(self):
         dets = [det([3.0, 4.0])]
         bank = MemoryBank()
-        step(bank, dets, TrackerParams(), 1)
+        bank, _ = step(bank, dets, TrackerParams(), 1)
         assert bank.prototypes[0] == pytest.approx([0.6, 0.8], abs=1e-12)
         assert bank.ages[0] == 0
 
     def test_disable_with_high_conf_min(self):
         bank = MemoryBank()
-        result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
+        bank, result = step(bank, [det(axis(4, 0))], TrackerParams(conf_min=1.1), 1)
         assert bank.track_ids.tolist() == []
         assert result.assignments == []
 
@@ -216,10 +255,10 @@ class TestFirstStep:
         params = TrackerParams(tau_s=-1.0, ema_mode=mode)
         first = det([3.0, 4.0])
         bank = MemoryBank()
-        step(bank, [first], params, 1)
+        bank, _ = step(bank, [first], params, 1)
         first.embedding[:] = [1.0, 0.0]
         assert bank.prototypes[0] == pytest.approx([0.6, 0.8], abs=1e-12)
-        step(bank, [det([0.0, 1.0])], params, 2)
+        bank, _ = step(bank, [det([0.0, 1.0])], params, 2)
         assert bank.prototypes[0] == pytest.approx(normalize(np.array([0.6, 1.8])), abs=1e-12)
 
 
@@ -228,9 +267,9 @@ class TestStep:
         params = TrackerParams()
         e = np.array([3.0, 4.0])
         bank = MemoryBank()
-        step(bank, [det(e)], params, 1)
+        bank, _ = step(bank, [det(e)], params, 1)
         before = bank.prototypes[0].copy()
-        result = step(bank, [det(e)], params, frame=2)
+        bank, result = step(bank, [det(e)], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
         assert bank.ages[0] == 0
         assert np.array_equal(bank.prototypes[0], before)
@@ -241,10 +280,10 @@ class TestStep:
         # before the step is written: a step replaces them.
         params = TrackerParams(tau_s=-1.0, ema_mode=ema_mode)
         bank = MemoryBank()
-        step(bank, [det(axis(3, 0)), det(axis(3, 1), u=20.0)], params, 1)
+        bank, _ = step(bank, [det(axis(3, 0)), det(axis(3, 1), u=20.0)], params, 1)
         held = [bank.prototypes[0], bank.ages, bank.track_ids] + ([bank.sums] if ema_mode == "mean" else [])
         copies = [a.copy() for a in held]
-        result = step(bank, [det([0.6, 0.0, 0.8])], params, frame=2)
+        bank, result = step(bank, [det([0.6, 0.0, 0.8])], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
         assert bank.ages.tolist() == [0, 1]
         assert not np.array_equal(bank.prototypes[0], copies[0])
@@ -255,32 +294,32 @@ class TestStep:
         # prototype is its unit version (sqrt(1/2), sqrt(1/2)).
         params = TrackerParams(tau_s=-1.0)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
-        step(bank, [det(axis(2, 1))], params, frame=2)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(2, 1))], params, frame=2)
         assert bank.prototypes[0] == pytest.approx([0.707107, 0.707107], abs=1e-6)
         assert abs(np.linalg.norm(bank.prototypes[0]) - 1.0) <= 1e-9
 
     def test_alpha_one_freezes_prototype(self):
         params = TrackerParams(alpha=1.0, tau_s=-1.0)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
         before = bank.prototypes[0].copy()
-        step(bank, [det([0.6, 0.8])], params, frame=2)
+        bank, _ = step(bank, [det([0.6, 0.8])], params, frame=2)
         assert np.array_equal(bank.prototypes[0], before)
 
     def test_alpha_zero_takes_latest_embedding(self):
         params = TrackerParams(alpha=0.0, tau_s=-1.0)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
-        step(bank, [det([0.6, 0.8])], params, frame=2)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det([0.6, 0.8])], params, frame=2)
         assert np.array_equal(bank.prototypes[0], np.array([0.6, 0.8]))
 
     def test_mean_mode_uses_uniform_history(self):
         params = TrackerParams(tau_s=-1.0, ema_mode="mean")
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
-        step(bank, [det(axis(2, 0))], params, frame=2)
-        step(bank, [det(axis(2, 1))], params, frame=3)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(2, 0))], params, frame=2)
+        bank, _ = step(bank, [det(axis(2, 1))], params, frame=3)
         # History (1,0), (1,0), (0,1): normalized mean is (2,1)/sqrt(5).
         expected = np.array([2.0, 1.0]) / np.sqrt(5.0)
         assert bank.prototypes[0] == pytest.approx(expected, abs=1e-12)
@@ -306,7 +345,7 @@ class TestStep:
         matched = 0
         for frame in sorted(frames):
             before = {tid: p.copy() for tid, p in zip(bank.track_ids.tolist(), bank.prototypes)}
-            result = step(bank, frames[frame], params, frame)
+            bank, result = step(bank, frames[frame], params, frame)
             after = dict(zip(bank.track_ids.tolist(), bank.prototypes))
             for track_id, j, _ in result.assignments:
                 e = frames[frame][j].embedding
@@ -339,7 +378,7 @@ class TestStep:
         sums = {}
         matched = 0
         for frame in sorted(frames):
-            result = step(bank, frames[frame], params, frame)
+            bank, result = step(bank, frames[frame], params, frame)
             after = dict(zip(bank.track_ids.tolist(), zip(bank.prototypes, bank.sums)))
             for track_id, j, _ in result.assignments:
                 e = frames[frame][j].embedding
@@ -360,18 +399,18 @@ class TestStep:
         # the blend (alpha = 0.5) or the running sum cancels to zero.
         params = TrackerParams(tau_s=-1.0, ema_mode=ema_mode)
         bank = MemoryBank()
-        step(bank, [det(axis(3, 0))], params, 1)
-        result = step(bank, [det(axis(3, 0, sign=-1.0))], params, frame=2)
+        bank, _ = step(bank, [det(axis(3, 0))], params, 1)
+        bank, result = step(bank, [det(axis(3, 0, sign=-1.0))], params, frame=2)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
         assert np.array_equal(bank.prototypes[0], axis(3, 0, sign=-1.0))
 
     def test_gated_detection_founds_new_track(self):
         params = TrackerParams()
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
         # Similarity to the prototype is 0.2, below tau_s = 0.4.
         far = det([0.2, np.sqrt(1.0 - 0.04)])
-        result = step(bank, [far], params, frame=2)
+        bank, result = step(bank, [far], params, frame=2)
         assert result.new_track_ids == [2]
         assert [(tid, j) for tid, j, _ in result.assignments] == [(2, 0)]
         assert bank.track_ids.tolist() == [1, 2]
@@ -380,12 +419,12 @@ class TestStep:
     def test_age_increments_and_prunes_after_tau_a(self):
         params = TrackerParams(tau_a=5)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
         for empty_frame in range(2, 7):
-            result = step(bank, [], params, frame=empty_frame)
+            bank, result = step(bank, [], params, frame=empty_frame)
             assert result.pruned_track_ids == []
             assert bank.ages[0] == empty_frame - 1
-        result = step(bank, [], params, frame=7)
+        bank, result = step(bank, [], params, frame=7)
         assert result.pruned_track_ids == [1]
         assert bank.track_ids.tolist() == []
 
@@ -393,10 +432,10 @@ class TestStep:
         params = TrackerParams(tau_a=5)
         e = axis(4, 0)
         bank = MemoryBank()
-        step(bank, [det(e)], params, 1)
+        bank, _ = step(bank, [det(e)], params, 1)
         for f in range(2, 7):
-            step(bank, [], params, frame=f)
-        result = step(bank, [det(e)], params, frame=7)
+            bank, _ = step(bank, [], params, frame=f)
+        bank, result = step(bank, [det(e)], params, frame=7)
         assert [(tid, j) for tid, j, _ in result.assignments] == [(1, 0)]
         assert result.new_track_ids == []
         assert bank.ages[0] == 0
@@ -404,34 +443,34 @@ class TestStep:
     def test_tau_a_zero_prunes_on_first_miss(self):
         params = TrackerParams(tau_a=0)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
-        result = step(bank, [], params, frame=2)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
+        bank, result = step(bank, [], params, frame=2)
         assert result.pruned_track_ids == [1]
 
     def test_ids_never_reused(self):
         params = TrackerParams(tau_a=0)
         bank = MemoryBank()
-        step(bank, [det(axis(2, 0))], params, 1)
-        step(bank, [], params, frame=2)
-        result = step(bank, [det(axis(2, 1))], params, frame=3)
+        bank, _ = step(bank, [det(axis(2, 0))], params, 1)
+        bank, _ = step(bank, [], params, frame=2)
+        bank, result = step(bank, [det(axis(2, 1))], params, frame=3)
         assert result.new_track_ids == [2]
         assert bank.next_id == 3
 
     def test_dimension_mismatch_rejected(self):
         params = TrackerParams()
         bank = MemoryBank()
-        step(bank, [det(axis(4, 0))], params, 1)
+        bank, _ = step(bank, [det(axis(4, 0))], params, 1)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            step(bank, [det(axis(8, 0))], params, frame=2)
+            bank, _ = step(bank, [det(axis(8, 0))], params, frame=2)
 
     @pytest.mark.parametrize("founded, other", [("ema", "mean"), ("mean", "ema")])
     def test_mode_mismatch_rejected(self, founded, other):
         bank = MemoryBank()
-        step(bank, [det(axis(4, 0))], TrackerParams(ema_mode=founded), 1)
+        bank, _ = step(bank, [det(axis(4, 0))], TrackerParams(ema_mode=founded), 1)
         prototypes = bank.prototypes.copy()
         for frame in ([det(axis(4, 0))], []):
             with pytest.raises(ValueError) as err:
-                step(bank, frame, TrackerParams(ema_mode=other), 2)
+                bank, _ = step(bank, frame, TrackerParams(ema_mode=other), 2)
             assert str(err.value) == f"mode mismatch: ema_mode is {other!r}, bank uses {founded!r}"
         assert np.array_equal(bank.prototypes, prototypes)
         assert bank.ages.tolist() == [0]
@@ -439,8 +478,8 @@ class TestStep:
     def test_unfounded_bank_takes_either_mode(self):
         # A frame with no kept detection founds nothing, so it fixes no mode.
         bank = MemoryBank()
-        step(bank, [det(axis(4, 0), conf=0.1)], TrackerParams(ema_mode="mean"), 1)
-        step(bank, [det(axis(4, 0))], TrackerParams(ema_mode="ema"), 2)
+        bank, _ = step(bank, [det(axis(4, 0), conf=0.1)], TrackerParams(ema_mode="mean"), 1)
+        bank, _ = step(bank, [det(axis(4, 0))], TrackerParams(ema_mode="ema"), 2)
         assert bank.track_ids.tolist() == [1]
         assert bank.sums is None
 
@@ -457,7 +496,7 @@ class TestStep:
                 )
                 for k in range(int(rng.integers(0, 6)))
             ]
-            result = step(bank, dets, params, frame)
+            bank, result = step(bank, dets, params, frame)
             surviving = [j for j, d in enumerate(dets) if d.confidence >= params.conf_min]
             labeled = sorted(j for _, j, _ in result.assignments)
             assert labeled == surviving
@@ -468,7 +507,7 @@ class TestStep:
         bank, detections, params = inputs
         before = dict(zip(bank.track_ids.tolist(), bank.ages.tolist()))
         first_new_id = bank.next_id
-        result = step(bank, detections, params, frame=1)
+        bank, result = step(bank, detections, params, frame=1)
 
         kept = [j for j, d in enumerate(detections) if d.confidence >= params.conf_min]
         assert sorted(j for _, j, _ in result.assignments) == kept
@@ -498,7 +537,7 @@ class TestStep:
         bank = MemoryBank()
         absorbed = {}
         for frame, detections in enumerate(frames, start=1):
-            result = step(bank, detections, params, frame)
+            bank, result = step(bank, detections, params, frame)
             for track_id, j, _ in result.assignments:
                 e = detections[j].embedding
                 if track_id in result.new_track_ids:
@@ -552,7 +591,7 @@ class TestStep:
         bank = MemoryBank()
         reference = {}
         for frame, detections in enumerate(frames, start=1):
-            result = step(bank, detections, params, frame)
+            bank, result = step(bank, detections, params, frame)
             for track_id, j, _ in result.assignments:
                 e = detections[j].embedding
                 if track_id in result.new_track_ids:
@@ -572,11 +611,11 @@ class TestStep:
         params = TrackerParams(tau_s=-1.0)
         e1, e2, e3 = axis(8, 0), axis(8, 1), axis(8, 2)
         bank_a = MemoryBank()
-        step(bank_a, [det(e1), det(e2), det(e3)], params, 1)
+        bank_a, _ = step(bank_a, [det(e1), det(e2), det(e3)], params, 1)
         bank_b = MemoryBank()
-        step(bank_b, [det(e1), det(e2), det(e3)], params, 1)
-        forward = step(bank_a, [det(e1, u=1.0), det(e2, u=2.0), det(e3, u=3.0)], params, 2)
-        reversed_ = step(bank_b, [det(e3, u=3.0), det(e2, u=2.0), det(e1, u=1.0)], params, 2)
+        bank_b, _ = step(bank_b, [det(e1), det(e2), det(e3)], params, 1)
+        bank_a, forward = step(bank_a, [det(e1, u=1.0), det(e2, u=2.0), det(e3, u=3.0)], params, 2)
+        bank_b, reversed_ = step(bank_b, [det(e3, u=3.0), det(e2, u=2.0), det(e1, u=1.0)], params, 2)
         by_track_fwd = {tid: box.u for tid, _, box in forward.assignments}
         by_track_rev = {tid: box.u for tid, _, box in reversed_.assignments}
         assert by_track_fwd == by_track_rev
@@ -622,8 +661,10 @@ class TestRunGrid:
         rows = run_grid(frames, grid)
         assert len(rows) == len(grid)
         for params, results in zip(grid, rows):
-            bank = MemoryBank()
-            stepped = [step(bank, frames[frame], params, frame) for frame in sorted(frames)]
+            bank, stepped = MemoryBank(), []
+            for frame in sorted(frames):
+                bank, result = step(bank, frames[frame], params, frame)
+                stepped.append(result)
             assert results == run_sequence(frames, params) == stepped
 
     def test_rows_fork_where_the_gate_splits_them(self):
@@ -647,3 +688,22 @@ class TestRunGrid:
 
     def test_empty_grid_runs_nothing(self):
         assert run_grid({1: [det(axis(2, 0))]}, []) == []
+
+
+class TestReferenceTracker:
+    @settings(max_examples=150, deadline=None)
+    @example(frames={1: [det(axis(3, 0)), det(axis(3, 0), u=20.0)], 2: [det(axis(3, 0))]})
+    @given(reference_scenes())
+    def test_property_run_grid_follows_the_reference_tracker(self, frames):
+        # Where the least total is unique, so are the optima, and run_grid's
+        # pairs must be them; on an exact tie they must be one of them, and
+        # the reference goes on with them.
+        for params, results in zip(REFERENCE_GRID, run_grid(frames, REFERENCE_GRID)):
+            by_frame = {
+                r.frame: tuple((tid, j) for tid, j, _ in r.assignments if tid not in r.new_track_ids)
+                for r in results
+            }
+            reference = reference_tracker(frames, params, follow=lambda frame, optima: by_frame[frame])
+            for result, (optima, pairs, new_ids, pruned_ids) in zip(results, reference):
+                assert pairs in optima
+                assert (result.new_track_ids, result.pruned_track_ids) == (new_ids, pruned_ids)
