@@ -35,10 +35,11 @@ class _UsageError(Exception):
     """Bad invocation that argparse cannot catch; maps to exit code 2."""
 
 
-def _require_file(path: str) -> str:
-    if not Path(path).is_file():
-        raise _UsageError(f"{'not a file' if Path(path).exists() else 'no such file'}: {path}")
-    return path
+def _require_files(*paths) -> None:
+    """Raise a usage error naming the first path that is not a regular file; None is an omitted option."""
+    for path in paths:
+        if path is not None and not Path(path).is_file():
+            raise _UsageError(f"{'not a file' if Path(path).exists() else 'no such file'}: {path}")
 
 
 @contextmanager
@@ -51,7 +52,8 @@ def _usage(prefix: str = ""):
 
 
 def _cmd_simulate(args) -> int:
-    config = fileio.read_scenario_config(_require_file(args.config))
+    _require_files(args.config)
+    config = fileio.read_scenario_config(args.config)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     gt, det, truth_map = generate(config)
@@ -64,11 +66,9 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_track(args) -> int:
-    frames = fileio.read_detections(_require_file(args.detections))
-    if args.params is not None:
-        params = fileio.read_tracker_params(_require_file(args.params))
-    else:
-        params = TrackerParams()
+    _require_files(args.detections, args.params)
+    frames = fileio.read_detections(args.detections)
+    params = TrackerParams() if args.params is None else fileio.read_tracker_params(args.params)
     results = run_sequence(frames, params)
     fileio.write_results(tracked_boxes(results), args.out)
     created = sum(len(r.new_track_ids) for r in results)
@@ -81,8 +81,9 @@ def _cmd_track(args) -> int:
 def _cmd_eval(args) -> int:
     with _usage():
         metrics.check_iou_threshold(args.iou)
-    gt = fileio.read_gt(_require_file(args.gt))
-    pred = fileio.read_results(_require_file(args.results))
+    _require_files(args.gt, args.results)
+    gt = fileio.read_gt(args.gt)
+    pred = fileio.read_results(args.results)
     table = metrics.match_frames(gt, pred, args.iou)
     report = metrics.report_from_table(table)
     if args.machine:
@@ -99,10 +100,11 @@ def _cmd_triplets(args) -> int:
         strategy = SamplingStrategy(args.strategy, args.delta_t)
     with _usage():
         check_count_and_seed(args.count, args.seed)
+    _require_files(*args.gt_corpus)
     corpus = {}
     for plant_id, path in enumerate(args.gt_corpus):
         times = defaultdict(set)
-        for row in fileio.read_gt(_require_file(path)):
+        for row in fileio.read_gt(path):
             times[row.leaf_id].add(row.frame)
         corpus[plant_id] = times
     triplets = sample_triplets(corpus, strategy, args.count, args.seed)
@@ -141,18 +143,17 @@ def _cmd_sweep(args) -> int:
         grid = [TrackerParams(tau_s=t, alpha=a, ema_mode=m) for t, a, m in product(*axes)]
     with _usage():
         metrics.check_iou_threshold(args.iou)
-    frames = fileio.read_detections(_require_file(args.detections))
-    gt = fileio.read_gt(_require_file(args.gt))
-    runs = ({res.frame: res.assignments for res in results} for results in run_grid(frames, grid))
+    _require_files(args.detections, args.gt)
+    frames = fileio.read_detections(args.detections)
+    gt = fileio.read_gt(args.gt)
     lines = [",".join(_SWEEP_COLUMNS)]
-    # match_runs yields one table object per distinct run, and keeps each alive
-    # while it runs, so a table's id keys its scores.
-    scores: dict = {}
-    for params, table in zip(grid, metrics.match_runs(gt, frames, runs, args.iou)):
-        if id(table) not in scores:
-            report = metrics.report_from_table(table)
-            scores[id(table)] = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
-        lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores[id(table)]]))
+    scores: dict = {}  # (frame, track id, detection index) rows of a run -> its score cells
+    for params, results in zip(grid, run_grid(frames, grid)):
+        run = tuple((res.frame, tuple(row[:2] for row in res.assignments)) for res in results)
+        if run not in scores:
+            report = metrics.report_from_table(metrics.match_frames(gt, tracked_boxes(results), args.iou))
+            scores[run] = [repr(getattr(report, name)) for name in _SWEEP_COLUMNS[3:]]
+        lines.append(",".join([repr(params.tau_s), repr(params.alpha), params.ema_mode, *scores[run]]))
     if args.out is not None:
         fileio.write_lines(args.out, lines)
     else:

@@ -113,7 +113,11 @@ def _rows(path, lines: list[str], names: tuple[str, ...], parse, first_lineno: i
 
 
 def _frame(token: str) -> int:
-    frame = _parse_int(token, "frame")
+    return _check_frame(_parse_int(token, "frame"))
+
+
+def _check_frame(frame: int) -> int:
+    """frame, unless it is below 1: the readers' rule, which each writer checks on its lowest frame."""
     if frame < 1:
         raise ValueError(f"frame indices start at 1, got {frame}")
     return frame
@@ -269,10 +273,13 @@ def write_detections(frames: Mapping[int, list[Detection]], path, dim: int | Non
     if not dims:
         raise ValueError("empty detection sequence: embedding dimension unknown")
     (dim,) = dims
-    empty = [str(frame) for frame in sorted(frames) if not frames[frame]]
+    order = sorted(frames)
+    if order:
+        _check_frame(order[0])
+    empty = [str(frame) for frame in order if not frames[frame]]
     lines = [f"#dim={dim};empty={','.join(empty)}" if empty else f"#dim={dim}"]
     embeddings = []
-    for frame in sorted(frames):
+    for frame in order:
         for det in frames[frame]:
             lines.append(_box_line(frame, -1, det.box, f",{_fmt(det.confidence)}"))
             embeddings.append(det.embedding)
@@ -292,6 +299,8 @@ def read_gt(path) -> list[LeafBox]:
 
 def write_gt(annotations: Iterable[LeafBox], path) -> None:
     rows = sorted(annotations, key=lambda r: (r.frame, r.leaf_id))
+    if rows:
+        _check_frame(rows[0].frame)
     write_lines(path, [_box_line(r.frame, r.leaf_id, r.box) for r in rows])
 
 
@@ -311,6 +320,8 @@ def read_results(path) -> list[LeafBox]:
 def write_results(rows: Iterable[LeafBox], path) -> None:
     """Write evaluation rows, e.g. tracked_boxes(run_sequence(...)), as a results file."""
     rows = sorted(rows, key=lambda r: (r.frame, r.leaf_id))
+    if rows:
+        _check_frame(rows[0].frame)
     write_lines(path, [_box_line(r.frame, r.leaf_id, r.box, ",1.0") for r in rows])
 
 
@@ -339,11 +350,10 @@ def read_truth_map(path) -> dict[tuple[int, int], int]:
 
 
 def write_truth_map(truth_map: Mapping[tuple[int, int], int], path) -> None:
-    lines = [
-        f"{frame},{det_index},{leaf_id}"
-        for (frame, det_index), leaf_id in sorted(truth_map.items())
-    ]
-    write_lines(path, lines)
+    rows = sorted(truth_map.items())
+    if rows:
+        _check_frame(rows[0][0][0])
+    write_lines(path, [f"{frame},{det_index},{leaf_id}" for (frame, det_index), leaf_id in rows])
 
 
 # ---------------------------------------------------------------------------

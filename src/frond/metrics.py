@@ -2,11 +2,10 @@
 
 All metrics run at a single localization threshold: a prediction counts
 as a true positive only where a per-frame minimum-cost matching pairs it
-with a ground-truth box at IoU >= iou_threshold.  match_runs builds that
-table for many tracker runs from one per-frame IoU matrix (match_frames is
-its one-run case), each with its counts, (gt, pred) pair counts and IDF1
-bijection; report_from_table reduces it to DetA, AssA, HOTA, MOTA, IDF1
-and ID switches.  Ground truth and predictions are both geometry.LeafBox
+with a ground-truth box at IoU >= iou_threshold.  match_frames builds that
+table, with its counts, (gt, pred) pair counts and IDF1 bijection;
+report_from_table reduces it to DetA, AssA, HOTA, MOTA, IDF1 and ID
+switches.  Ground truth and predictions are both geometry.LeafBox
 rows; a prediction's leaf_id is its track id.
 """
 
@@ -15,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -31,7 +30,7 @@ IOU_THRESHOLD = 0.5  # default localization threshold of match_frames, evaluate 
 
 @dataclass(frozen=True)
 class MatchTable:
-    """Per-frame localization outcomes of one tracker run, built whole by match_runs.
+    """Per-frame localization outcomes of one tracker run, built whole by match_frames.
 
     matches maps frame -> [(gt_id, pred_id, iou)] for true positives;
     misses and false_alarms list the frame's unmatched gt and pred ids
@@ -139,73 +138,39 @@ def match_frames(
     pred: Iterable[LeafBox],
     iou_threshold: float = IOU_THRESHOLD,
 ) -> MatchTable:
-    """Match ground truth against predictions frame by frame.
+    """Match ground truth against predictions frame by frame: the one MatchTable builder.
 
     Within each frame a minimum-cost assignment on (1 - IoU) runs over
     pairs with IoU >= iou_threshold; surviving pairs are true positives,
-    leftover gt are misses, leftover predictions are false alarms.
+    leftover gt are misses, leftover predictions are false alarms.  Each
+    side keeps its input order within a frame, and the solver breaks
+    equal-IoU ties by it: of two equal predictions on one gt box, the
+    first takes the match.
 
     Raises:
         ValueError: on a duplicated (frame, id) on either side, or an
             iou_threshold outside (0, 1].
     """
     pred_by_frame = _group_by_frame(pred, "prediction")
-    run = {f: [(r.leaf_id, j) for j, r in enumerate(rows)] for f, rows in pred_by_frame.items()}
-    return next(match_runs(gt, pred_by_frame, [run], iou_threshold))
-
-
-def match_runs(
-    gt: Iterable[LeafBox],
-    frames: Mapping[int, Sequence],
-    runs: Iterable[Mapping[int, Sequence[tuple]]],
-    iou_threshold: float = IOU_THRESHOLD,
-) -> Iterator[MatchTable]:
-    """One MatchTable per tracker run over frames.
-
-    frames maps frame -> detections, the input of every run; each run
-    maps frame -> rows led by (track_id, detection index), such as
-    FrameResult.assignments: the predictions it made there (a frame left
-    out or mapped to [] has none).  Ground truth is grouped, and its IoU
-    against each frame's detections worked out, once; each run takes its
-    columns by its detection indices.  This is the one place a
-    MatchTable is built, and each distinct run is matched once: runs with
-    equal (frame, track id, detection index) rows get the same table.
-
-    Raises:
-        ValueError: as match_frames does.
-    """
     check_iou_threshold(iou_threshold)
     gt_by_frame = _group_by_frame(gt, "ground-truth")
-    overlaps = {}
-    for frame in set(gt_by_frame) | set(frames):
-        g_rows = gt_by_frame.get(frame, [])
-        boxes = [det.box for det in frames.get(frame, [])]
-        overlaps[frame] = ([r.leaf_id for r in g_rows], iou_matrix([r.box for r in g_rows], boxes))
-    tables: dict = {}
-    for run in runs:
-        key = tuple(sorted((f, tuple(row[:2] for row in rows)) for f, rows in run.items() if rows))
-        if key in tables:
-            yield tables[key]
-            continue
-        table_frames = sorted(set(gt_by_frame) | {f for f, _ in key})
-        matches, misses, false_alarms = {}, {}, {}
-        for frame in table_frames:
-            gt_ids, all_columns = overlaps[frame]
-            rows = run.get(frame, [])
-            overlap = all_columns[:, [row[1] for row in rows]]
-            pairs = match_by_iou(overlap, iou_threshold)
-            matched_g = {gi for gi, _ in pairs}
-            matched_p = {pj for _, pj in pairs}
-            matches[frame] = [(gt_ids[gi], rows[pj][0], float(overlap[gi, pj])) for gi, pj in pairs]
-            misses[frame] = [g for i, g in enumerate(gt_ids) if i not in matched_g]
-            false_alarms[frame] = [row[0] for j, row in enumerate(rows) if j not in matched_p]
-        pair_counts = Counter((g, p) for frame in table_frames for g, p, _ in matches[frame])
-        tp = sum(len(rows) for rows in matches.values())
-        fn = sum(len(ids) for ids in misses.values())
-        fp = sum(len(ids) for ids in false_alarms.values())
-        idtp, bijection = _identity_bijection(pair_counts)
-        tables[key] = MatchTable(table_frames, matches, misses, false_alarms, tp, fn, fp, pair_counts, idtp, bijection)
-        yield tables[key]
+    frames = sorted(set(gt_by_frame) | set(pred_by_frame))
+    matches, misses, false_alarms = {}, {}, {}
+    for frame in frames:
+        g_rows, p_rows = gt_by_frame.get(frame, []), pred_by_frame.get(frame, [])
+        overlap = iou_matrix([r.box for r in g_rows], [r.box for r in p_rows])
+        pairs = match_by_iou(overlap, iou_threshold)
+        matched_g = {gi for gi, _ in pairs}
+        matched_p = {pj for _, pj in pairs}
+        matches[frame] = [(g_rows[gi].leaf_id, p_rows[pj].leaf_id, float(overlap[gi, pj])) for gi, pj in pairs]
+        misses[frame] = [r.leaf_id for i, r in enumerate(g_rows) if i not in matched_g]
+        false_alarms[frame] = [r.leaf_id for j, r in enumerate(p_rows) if j not in matched_p]
+    pair_counts = Counter((g, p) for frame in frames for g, p, _ in matches[frame])
+    tp = sum(len(rows) for rows in matches.values())
+    fn = sum(len(ids) for ids in misses.values())
+    fp = sum(len(ids) for ids in false_alarms.values())
+    idtp, bijection = _identity_bijection(pair_counts)
+    return MatchTable(frames, matches, misses, false_alarms, tp, fn, fp, pair_counts, idtp, bijection)
 
 
 def _association_accuracy(table: MatchTable) -> float:

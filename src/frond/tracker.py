@@ -231,11 +231,10 @@ def run_grid(frames: Mapping[int, list[Detection]], grid: Sequence[TrackerParams
 
 
 def tracked_boxes(results: Iterable[FrameResult]) -> list[LeafBox]:
-    """Flatten frame results into evaluation rows, each track id as leaf_id, sorted by (frame, id)."""
-    rows = [
-        LeafBox(res.frame, track_id, box)
-        for res in results
-        for track_id, _, box in res.assignments
-    ]
-    rows.sort(key=lambda r: (r.frame, r.leaf_id))
-    return rows
+    """Flatten frame results into evaluation rows, each track id as leaf_id, in the results' order.
+
+    run_sequence and simulator.baseline_iou_tracker emit frames in ascending
+    order and each frame's assignments in ascending track id, so their rows
+    come sorted by (frame, id).
+    """
+    return [LeafBox(res.frame, track_id, box) for res in results for track_id, _, box in res.assignments]

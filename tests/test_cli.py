@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, reject, settings
+from hypothesis import assume, given, reject, settings
 from hypothesis import strategies as st
 
 import frond.metrics
@@ -23,13 +23,14 @@ from frond.fileio import (
     read_scenario_config,
     read_triplets,
     read_truth_map,
+    write_detections,
     write_gt,
     write_results,
 )
 from frond.geometry import BBox, LeafBox
 from frond.metrics import evaluate, format_report_machine
 from frond.simulator import MAX_FRAME_SIDE, ScenarioConfig, generate
-from frond.tracker import TrackerParams, run_sequence, tracked_boxes
+from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
 from test_fileio import _config_text, tracker_params
 
 CLEAN_SCENARIO = (
@@ -555,6 +556,54 @@ class TestTriplets:
         assert exc.value.code == 2
 
 
+# How a frame of a sweep scene looks: gt with detections around it, gt in
+# a frame the detection input lists with no detection, gt in a frame it
+# omits, detections with no gt, or an empty detection list.
+FRAME_KINDS = ("both", "gt_only", "omitted_by_detections", "clutter_only", "empty")
+
+
+@st.composite
+def sweep_scenes(draw):
+    """Ground truth, 3-d detections, small sweep axes and an IoU threshold.
+
+    Gt leaf k sits in slot k of 30 px; a detection sits in slot 0..4 at
+    offset 0, 2 or 6 px, so it overlaps one gt box at IoU 1, 2/3 or 1/4,
+    or none.  Repeated detection boxes make IoU ties, and small integer
+    embeddings similarity ties, common.  An axis may repeat a value, and
+    mean mode never reads alpha, so grids with equal runs are common.
+    """
+    gt, frames = [], {}
+    for frame in range(1, draw(st.integers(1, 6)) + 1):
+        kind = draw(st.sampled_from(FRAME_KINDS))
+        if kind in ("both", "gt_only", "omitted_by_detections"):
+            for leaf in draw(st.lists(st.integers(1, 4), unique=True, min_size=1, max_size=4)):
+                gt.append(LeafBox(frame, leaf, BBox(30.0 * leaf, 0.0, 10.0, 10.0)))
+        if kind == "omitted_by_detections":
+            continue
+        frames[frame] = [
+            Detection(BBox(30.0 * slot + du, 0.0, 10.0, 10.0), conf, np.array(e, dtype=float))
+            for slot, du, conf, e in draw(
+                st.lists(
+                    st.tuples(
+                        st.integers(0, 4),
+                        st.sampled_from([0.0, 2.0, 6.0]),
+                        st.sampled_from([0.2, 0.9]),
+                        st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
+                    ),
+                    min_size=1 if kind == "clutter_only" else 0,
+                    max_size=0 if kind in ("gt_only", "empty") else 6,
+                )
+            )
+        ]
+    assume(gt)
+    axes = (
+        draw(st.lists(st.sampled_from([-1.0, 0.0, 0.5]), min_size=1, max_size=2)),
+        draw(st.lists(st.sampled_from([0.0, 0.5, 1.0]), min_size=1, max_size=2)),
+        draw(st.lists(st.sampled_from(["ema", "mean"]), min_size=1, max_size=2)),
+    )
+    return gt, frames, axes, draw(st.sampled_from([0.3, 0.5, 1.0]))
+
+
 class TestSweep:
     def test_iou_outside_unit_interval_is_usage_error(self, pipeline, capsys):
         out_dir, _ = pipeline
@@ -641,6 +690,52 @@ class TestSweep:
             expected.append(",".join([repr(tau_s), repr(alpha), mode, *scores]))
         assert out.read_text().splitlines() == expected
         assert len({row.split(",", 3)[3] for row in expected[1:]}) > 6
+
+    def test_each_distinct_run_is_matched_once(self, tmp_path, monkeypatch):
+        # With a little embedding noise, tau_s=1.0 refuses every match, so
+        # its rows found new tracks in every frame; at 0.4 the ema and mean
+        # rows track alike.  The four rows hold two distinct runs.
+        config = tmp_path / "scene.cfg"
+        config.write_text(CLEAN_SCENARIO + "embedding_noise_std=0.05\n")
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--config", str(config), "--out-dir", str(sim)]) == 0
+        calls = []
+        real = frond.metrics.match_frames
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(frond.metrics, "match_frames", counted)
+        out = tmp_path / "sweep.csv"
+        argv = ["sweep", "--detections", str(sim / "det.txt"), "--gt", str(sim / "gt.txt"),
+                "--tau-s", "0.4,1.0", "--ema-mode", "ema,mean", "--out", str(out)]
+        assert main(argv) == 0
+        assert len(calls) == 2
+        scores = [line.split(",", 3)[3] for line in out.read_text().splitlines()[1:]]
+        assert scores[0] == scores[1] and scores[2] == scores[3]
+        assert scores[0] != scores[2]
+
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_scenes())
+    def test_property_every_row_equals_evaluate(self, scene):
+        gt, frames, (taus, alphas, modes), iou = scene
+        with tempfile.TemporaryDirectory() as tmp:
+            det, gt_path, out = (str(Path(tmp) / name) for name in ("det.txt", "gt.txt", "sweep.csv"))
+            write_detections(frames, det, 3)
+            write_gt(gt, gt_path)
+            argv = ["sweep", "--detections", det, "--gt", gt_path, "--tau-s=" + ",".join(map(repr, taus)),
+                    "--alpha=" + ",".join(map(repr, alphas)), "--ema-mode=" + ",".join(modes),
+                    f"--iou={iou!r}", "--out", out]
+            assert main(argv) == 0
+            rows = Path(out).read_text().splitlines()[1:]
+        expected = []
+        for tau_s, alpha, mode in product(taus, alphas, modes):
+            params = TrackerParams(tau_s=tau_s, alpha=alpha, ema_mode=mode)
+            report = evaluate(gt, tracked_boxes(run_sequence(frames, params)), iou)
+            scores = [repr(getattr(report, name)) for name in ("hota", "deta", "assa", "mota", "idf1")]
+            expected.append(",".join([repr(tau_s), repr(alpha), mode, *scores]))
+        assert rows == expected
 
     def test_grid_order(self, pipeline, tmp_path):
         out_dir, _ = pipeline
@@ -838,6 +933,27 @@ class TestSweep:
 
 
 _TRIPLET_ARGS = ("--gt-corpus", "g.txt", "--strategy", "cross_plant_flexible", "--out", "t.txt")
+
+
+class TestInputPaths:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["track", "--detections", "bad.txt", "--params", "missing.txt", "--out", "out.txt"],
+            ["eval", "--gt", "bad.txt", "--results", "missing.txt"],
+            ["sweep", "--detections", "bad.txt", "--gt", "missing.txt"],
+            ["triplets", "--gt-corpus", "bad.txt", "missing.txt", "--strategy", "cross_plant_flexible",
+             "--count", "1", "--out", "out.txt"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_every_input_path_is_checked_before_the_first_read(self, tmp_path, monkeypatch, capsys, argv):
+        # bad.txt would be a data error (exit 1) if it were read first.
+        monkeypatch.chdir(tmp_path)
+        Path("bad.txt").write_text("garbage\n")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: no such file: missing.txt\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["bad.txt"]
 
 
 class TestParserContract:

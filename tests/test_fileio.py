@@ -1130,3 +1130,22 @@ class TestWriteDiscipline:
         path = tmp_path / "gt.txt"
         write_gt([LeafBox(1, 1, BBox(0.1, 0.25, 10.0, 7.5))], path)
         assert path.read_text() == "1,1,0.1,0.25,10.0,7.5\n"
+
+    # Each writer is handed its rows out of frame order, the bad frame last.
+    @pytest.mark.parametrize(
+        "write, frame",
+        [
+            (lambda path: write_gt([LeafBox(2, 1, BBox(0, 0, 5, 5)), LeafBox(0, 1, BBox(0, 0, 5, 5))], path), 0),
+            (lambda path: write_results([LeafBox(2, 1, BBox(0, 0, 5, 5)), LeafBox(0, 2, BBox(0, 0, 5, 5))], path), 0),
+            (lambda path: write_detections({1: [Detection(BBox(0, 0, 5, 5), 0.5, np.ones(2))], 0: []}, path), 0),
+            (lambda path: write_detections({1: [], -2: []}, path, 2), -2),
+            (lambda path: write_truth_map({(2, 0): 1, (0, 0): 1}, path), 0),
+        ],
+        ids=["gt", "results", "detections", "detections-empty-frame", "truth-map"],
+    )
+    def test_frame_below_one_is_refused_before_any_write(self, tmp_path, write, frame):
+        # What a writer refuses is what its reader would refuse, so nothing unreadable is written.
+        with pytest.raises(ValueError) as err:
+            write(tmp_path / "out.txt")
+        assert str(err.value) == f"frame indices start at 1, got {frame}"
+        assert list(tmp_path.iterdir()) == []

@@ -7,7 +7,6 @@ from collections import Counter
 import numpy as np
 import pytest
 
-import frond.metrics
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -23,7 +22,6 @@ from frond.metrics import (
     leaf_accuracy_matrix,
     match_by_iou,
     match_frames,
-    match_runs,
     report_from_table,
 )
 from frond.tracker import Detection, TrackerParams, run_sequence, tracked_boxes
@@ -146,55 +144,6 @@ def relabeled(rows, labels):
     return [LeafBox(r.frame, labels[r.leaf_id], r.box) for r in rows]
 
 
-# How a frame of a sweep scene looks: gt with detections around it, gt in
-# a frame the detection input lists with no detection, gt in a frame it
-# omits, detections with no gt, or an empty detection list.
-FRAME_KINDS = ("both", "gt_only", "omitted_by_detections", "clutter_only", "empty")
-
-
-@st.composite
-def sweep_scenes(draw):
-    """Ground truth, a run_sequence input, a grid with a repeated row and an IoU threshold.
-
-    Gt leaf k sits in slot k of 30 px; a detection sits in slot 0..4 at
-    offset 0, 2 or 6 px, so it overlaps one gt box at IoU 1, 2/3 or 1/4,
-    or none.  Repeated detection boxes make IoU ties, and small integer
-    embeddings similarity ties, common.
-    """
-    gt, frames = [], {}
-    for frame in range(1, draw(st.integers(1, 6)) + 1):
-        kind = draw(st.sampled_from(FRAME_KINDS))
-        if kind in ("both", "gt_only", "omitted_by_detections"):
-            for leaf in draw(st.lists(st.integers(1, 4), unique=True, min_size=1, max_size=4)):
-                gt.append(g(frame, leaf, u=30.0 * leaf))
-        if kind == "omitted_by_detections":
-            continue
-        frames[frame] = [
-            Detection(BBox(30.0 * slot + du, 0.0, 10.0, 10.0), conf, np.array(e, dtype=float))
-            for slot, du, conf, e in draw(
-                st.lists(
-                    st.tuples(
-                        st.integers(0, 4),
-                        st.sampled_from([0.0, 2.0, 6.0]),
-                        st.sampled_from([0.2, 0.9]),
-                        st.lists(st.integers(-2, 2), min_size=3, max_size=3).filter(any),
-                    ),
-                    min_size=1 if kind == "clutter_only" else 0,
-                    max_size=0 if kind in ("gt_only", "empty") else 6,
-                )
-            )
-        ]
-    assume(gt)
-    params = st.builds(
-        TrackerParams,
-        tau_s=st.sampled_from([-1.0, 0.0, 0.5]),
-        tau_a=st.integers(0, 2),
-        ema_mode=st.sampled_from(["ema", "mean"]),
-    )
-    grid = draw(st.lists(params, min_size=1, max_size=3))
-    return gt, frames, grid + grid[:1], draw(st.sampled_from([0.3, 0.5, 1.0]))
-
-
 def component_kinds(g_rows, p_rows, thr=0.5):
     """Kinds of the components of a frame's pairs with IoU >= thr that
     have at least two rows and two columns: "block" when every pair
@@ -273,10 +222,32 @@ class TestMatchFrames:
             match_frames([g(1, 1)], [p(1, 1)], iou_threshold=1.5)
 
     def test_duplicate_prediction_is_named_before_a_bad_threshold(self):
-        # The predictions are grouped first; match_runs then checks the threshold.
+        # The predictions are grouped first; match_frames then checks the threshold.
         with pytest.raises(ValueError) as err:
             match_frames([g(1, 1)], [p(1, 1), p(1, 1, u=50.0)], iou_threshold=0.0)
         assert str(err.value) == "duplicate prediction id 1 in frame 1"
+
+    def test_equal_iou_ties_break_as_tracked_boxes_order_them(self):
+        # Frame 1 holds two equal boxes on the gt box, founding tracks 1
+        # and 2; the matching takes the first column, so track 1 scores the
+        # TP there and the switch to track 2 in frame 2 counts.
+        gt = [g(1, 1), g(2, 1)]
+        box = BBox(0.0, 0.0, 10.0, 10.0)
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        frames = {1: [Detection(box, 0.9, a), Detection(box, 0.9, b)], 2: [Detection(box, 0.9, b)]}
+        results = run_sequence(frames, TrackerParams())
+        table = match_frames(gt, tracked_boxes(results))
+        assert table.matches[1] == [(1, 1, 1.0)]
+        assert report_from_table(table).idsw == 1
+
+    def test_frames_with_gt_only_or_clutter_only(self):
+        # Frame 1 has gt and predictions, frame 2 gt only (a (1, 0) IoU
+        # table), frame 3 clutter only (a (0, 1) table).
+        gt = [g(1, 1), g(1, 2, u=30.0), g(2, 1)]
+        table = match_frames(gt, [p(1, 1), p(1, 2, u=30.0), p(3, 3, u=500.0)])
+        assert table.frames == [1, 2, 3]
+        assert table.misses[2] == [1]
+        assert table.tp == 2 and table.fp == 1
 
     @pytest.mark.parametrize("leaf_id", [0, -3])
     def test_gt_leaf_ids_start_at_one(self, leaf_id):
@@ -313,93 +284,6 @@ class TestMatchFrames:
                 kinds.update(component_kinds(g_rows, p_rows, thr))
         # The scenes must exercise components the matcher cannot pair directly.
         assert kinds["block"] >= 5 and kinds["chain"] >= 5
-
-
-def predictions(results):
-    """frame -> [(track_id, detection index)] of one run_sequence result."""
-    return {res.frame: [(track_id, j) for track_id, j, _ in res.assignments] for res in results}
-
-
-class TestMatchRuns:
-    @settings(max_examples=300, deadline=None)
-    @given(sweep_scenes())
-    def test_property_every_run_equals_evaluate(self, scene):
-        gt, frames, grid, iou = scene
-        runs = [run_sequence(frames, params) for params in grid]
-        tables = list(match_runs(gt, frames, map(predictions, runs), iou))
-        assert len(tables) == len(runs)
-        for results, table in zip(runs, tables):
-            expected = evaluate(gt, tracked_boxes(results), iou)
-            assert repr(report_from_table(table)) == repr(expected)
-
-    def test_equal_runs_share_a_table_and_distinct_runs_get_their_own(self):
-        # Two boxes on two gt leaves in frames 1 and 2, clutter only in frame
-        # 3.  A frame mapped to [] and a frame left out both hold no
-        # prediction, so those runs are equal; swapped ids are not, nor are
-        # the same false alarms in another order.
-        gt = [g(f, leaf, u=30.0 * leaf) for f in (1, 2) for leaf in (1, 2)]
-        e = np.array([1.0, 0.0])
-        frames = {f: [Detection(BBox(30.0 * k, 0.0, 10.0, 10.0), 0.9, e) for k in (1, 2)] for f in (1, 2, 3)}
-        run = {1: [(1, 0), (2, 1)], 2: [(1, 0), (2, 1)]}
-        runs = [
-            run,
-            {**run, 3: []},
-            {**run, 2: [(2, 0), (1, 1)]},
-            {**run, 3: [(1, 0), (2, 1)]},
-            {**run, 3: [(2, 1), (1, 0)]},
-            dict(run),
-        ]
-        tables = list(match_runs(gt, frames, runs))
-        assert tables[1] is tables[0] and tables[5] is tables[0]
-        assert len({id(table) for table in tables}) == 4
-        for run, table in zip(runs, tables):
-            assert table == next(match_runs(gt, frames, [run]))
-        assert (tables[0].idtp, tables[2].idtp) == (4, 2)
-        assert (tables[3].false_alarms[3], tables[4].false_alarms[3]) == ([1, 2], [2, 1])
-
-    def test_iou_is_computed_once_per_frame(self, monkeypatch):
-        # Frame 1 has gt and detections, frame 2 gt only and no detection
-        # list (a (1, 0) table), frame 3 clutter only.
-        gt = [g(1, 1), g(1, 2, u=30.0), g(2, 1)]
-        e = np.array([1.0, 0.0])
-        frames = {
-            1: [Detection(BBox(0.0, 0.0, 10.0, 10.0), 0.9, e), Detection(BBox(30.0, 0.0, 10.0, 10.0), 0.9, -e)],
-            3: [Detection(BBox(500.0, 0.0, 10.0, 10.0), 0.9, e)],
-        }
-        shapes = []
-        real = frond.metrics.iou_matrix
-
-        def counted(a, b):
-            shapes.append((len(a), len(b)))
-            return real(a, b)
-
-        monkeypatch.setattr(frond.metrics, "iou_matrix", counted)
-        grid = [TrackerParams(), TrackerParams(ema_mode="mean"), TrackerParams()]
-        runs = [run_sequence(frames, params) for params in grid]
-        tables = list(match_runs(gt, frames, map(predictions, runs)))
-        assert sorted(shapes) == [(0, 1), (1, 0), (2, 2)]
-        for table in tables:
-            assert table.frames == [1, 2, 3]
-            assert table.misses[2] == [1]
-            assert table.tp == 2 and table.fp == 1
-
-    def test_equal_iou_ties_break_as_tracked_boxes_order_them(self):
-        # Frame 1 holds two equal boxes on the gt box, founding tracks 1
-        # and 2; the matching takes the first column, so track 1 scores the
-        # TP there and the switch to track 2 in frame 2 counts.
-        gt = [g(1, 1), g(2, 1)]
-        box = BBox(0.0, 0.0, 10.0, 10.0)
-        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        frames = {1: [Detection(box, 0.9, a), Detection(box, 0.9, b)], 2: [Detection(box, 0.9, b)]}
-        results = run_sequence(frames, TrackerParams())
-        (table,) = match_runs(gt, frames, [predictions(results)])
-        assert table.matches[1] == [(1, 1, 1.0)]
-        assert report_from_table(table).idsw == 1
-        assert repr(report_from_table(table)) == repr(evaluate(gt, tracked_boxes(results)))
-
-    def test_iou_threshold_checked_before_any_table(self):
-        with pytest.raises(ValueError, match="iou_threshold"):
-            next(match_runs([g(1, 1)], {}, [{}], iou_threshold=0.0))
 
 
 class TestDetA:
